@@ -413,15 +413,14 @@ def _solve_top(A: Matrix, B: Matrix, top: int):
     )
 
 
-def express_in(M: FPModule, G: Matrix, v):
-    """u with G u = v modulo M's relations, or None."""
-    big = hstack(G, M.rel)
-    from adic_smith.linalg import solve_linear
-
-    sol = solve_linear(big, M.coerce_vec(v))
-    if sol is None:
-        return None
-    return tuple(sol[: G.n])
+def express_in(M: FPModule, G: Matrix, vecs):
+    """X with G X = vecs modulo M's relations, one column per vector of M,
+    or None when some vector is outside the span of G.  One SNF of
+    [G | rel] serves every vector."""
+    cols = [M.coerce_vec(v) for v in vecs]
+    rows = [[c[i] for c in cols] for i in range(M.ngens)]
+    B = Matrix(M.base, rows, shape=(M.ngens, len(cols)), _raw=True)
+    return _solve_top(hstack(G, M.rel), B, G.n)
 
 
 # -- subquotients -----------------------------------------------------

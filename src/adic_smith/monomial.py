@@ -144,13 +144,24 @@ def hilbert_graded_dims(Rm: MonomialLocalRing, N: int):
     return dims
 
 
+def transition_is_epi(lower_basis, upper_basis) -> bool:
+    """Is A/I^{n+1} -> A/I^n onto, given the standard-monomial bases of
+    the two levels?  The map sends a standard monomial to itself or to 0,
+    so it is onto exactly when the lower basis lies inside the upper one."""
+    upper = set(upper_basis)
+    return all(m in upper for m in lower_basis)
+
+
 def monomial_tower(Rm: MonomialLocalRing, N: int):
-    """Tower-shaped report: per-level dimensions plus re-truncation checks."""
+    """Tower-shaped report: per-level dimensions plus re-truncation checks.
+
+    Level 0's transition goes to A/I^0 = 0, whose basis is empty."""
     if N < 0:
         raise ValueError("tower bound must be >= 0")
     graded = hilbert_graded_dims(Rm, N)
     cap = Rm.power_gens(N + 1)
     levels = []
+    lower = []
     for n in range(N + 1):
         basis = quotient_basis(Rm, n)
         ideal_dim = sum(1 for m in basis if Rm.contains(m))
@@ -162,10 +173,11 @@ def monomial_tower(Rm: MonomialLocalRing, N: int):
                 "ideal_dim": ideal_dim,
                 "graded_dim": graded[n],
                 "basis": [Rm.format_monomial(m) for m in basis],
-                "transition_epi": True,
+                "transition_epi": transition_is_epi(lower, basis),
                 "retruncation_consistent": retrunc,
             }
         )
+        lower = basis
     return {
         "engine": "monomial",
         "variables": list(Rm.names),

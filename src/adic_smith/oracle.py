@@ -1086,13 +1086,21 @@ def check_monoidal_laws(corpus: FiniteCorpus, laws="all", pair_bound=16, triple_
     if bad:
         raise ValueError(f"unknown laws: {bad}")
     pool = all_table_arrows(corpus, pair_bound)
-    pairs = [(a, b) for a in pool for b in pool if a.order() * b.order() <= pair_bound]
+    orders = [a.order() for a in pool]
+    pairs = [
+        (a, b)
+        for a, oa in zip(pool, orders)
+        for b, ob in zip(pool, orders)
+        if oa * ob <= pair_bound
+    ]
+    # Orders are >= 1, so a partial product above the bound stays above it.
     triples = [
         (a, b, c)
-        for a in pool
-        for b in pool
-        for c in pool
-        if a.order() * b.order() * c.order() <= triple_bound
+        for a, oa in zip(pool, orders)
+        for b, ob in zip(pool, orders)
+        if oa * ob <= triple_bound
+        for c, oc in zip(pool, orders)
+        if oa * ob * oc <= triple_bound
     ]
     singles = [a for a in pool]
     report = {

@@ -27,6 +27,45 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+# Largest exponent ``Ring.pow`` accepts.  Documents reach it through
+# "a^n"; with repeated squaring 2^1024 or x^1024 is instant, while the
+# dense (x + 1)^1024 over Q takes about 2 s, so larger exponents are
+# refused instead of hanging the run.
+POW_EXPONENT_CAP = 1024
+
+# Miller-Rabin with the first 13 primes as bases is exact below this
+# bound (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017, extending Jaeschke, Math. Comp. 61, 1993); larger
+# characteristics are refused rather than guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic primality test; ValueError at or above _MR_EXACT_BELOW."""
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(f"primality is certified only below {_MR_EXACT_BELOW}")
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
 
 class RationalField:
     """Q, as a coefficient field. Payloads are Fraction."""
@@ -84,7 +123,7 @@ class PrimeField:
     """F_p, as a coefficient field. Payloads are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"not a prime: {p}")
         self.p = p
         self.zero = 0
@@ -172,11 +211,18 @@ class Ring:
         return a == self.zero
 
     def pow(self, a, n: int):
+        """a^n by repeated squaring, for 0 <= n <= POW_EXPONENT_CAP."""
         if n < 0:
             raise ValueError("negative exponent")
+        if n > POW_EXPONENT_CAP:
+            raise ValueError(f"exponent {n} is above the cap {POW_EXPONENT_CAP}")
         out = self.one
-        for _ in range(n):
-            out = self.mul(out, a)
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
         return out
 
     # -- Euclidean structure (Z and k[x] only) ------------------------

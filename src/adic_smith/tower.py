@@ -13,6 +13,14 @@ epic, kernel of a transition against the graded piece I^n/I^{n+1},
 re-truncation consistency, the three power-comparison routes) is
 certified by explicit maps, never inferred.
 
+A level's ``power_map_vanishes`` certifies that the composite
+I^(tensor n+1) -> I -> I/I^{n+1} of mu_{n+1} with the truncation is zero.
+A module map is zero exactly when it kills every generator, and the
+generators of the tensor power go to the (n+1)-fold generator products,
+which in a commutative ring depend only on the multiset of factors.  So
+the check runs on the C(k+n, n+1) generator products, expressed in the
+generators by one SNF, never on the k^(n+1)-generator tensor power.
+
 The inverse limit is never materialized: completeness is always a
 level-indexed verdict obtained by re-truncating the level-N data.
 """
@@ -20,7 +28,7 @@ level-indexed verdict obtained by re-truncating the level-N data.
 from __future__ import annotations
 
 import os
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from adic_smith.arrowcat import (
     Arrow,
@@ -90,12 +98,8 @@ class SmithIdeal:
             raise ValueError("generators are not multiplicatively closed into the ideal")
 
     def _closed_under_products(self) -> bool:
-        for a in self.gens:
-            for b in self.gens:
-                v = self.ambient.reduce_vec([self.base.mul(a, b)])
-                if express_in(self.ambient, self.gen_mat, v) is None:
-                    return False
-        return True
+        prods = [[p] for p in self.power_products(2)]
+        return express_in(self.ambient, self.gen_mat, prods) is not None
 
     @property
     def j(self) -> Arrow:
@@ -137,25 +141,19 @@ class SmithIdeal:
             raise ValueError("mu needs n >= 1")
         if n not in self._mus:
             base = self.base
-            k = len(self.gens)
             T = self.tensor_power_of_ideal(n)
-            cols = []
-            for flat in range(k**n):
-                digits = []
-                rest = flat
-                for _ in range(n):
-                    digits.append(rest % k)
-                    rest //= k
-                digits.reverse()
+            # Tensor generator (t_1, ..., t_n) sits at flat index
+            # sum t_i k^(n-i), the order of itertools.product.
+            prods = []
+            for digits in product(self.gens, repeat=n):
                 p = base.one
-                for t in digits:
-                    p = base.mul(p, self.gens[t])
-                v = self.ambient.reduce_vec([p])
-                u = express_in(self.ambient, self.gen_mat, v)
-                if u is None:
-                    raise ValueError("product left the ideal")
-                cols.append(u)
-            self._mus[n] = FPMap(T, self.I, Matrix.from_cols(base, cols, k))
+                for g in digits:
+                    p = base.mul(p, g)
+                prods.append(self.ambient.reduce_vec([p]))
+            X = express_in(self.ambient, self.gen_mat, prods)
+            if X is None:
+                raise ValueError("product left the ideal")
+            self._mus[n] = FPMap(T, self.I, X)
         return self._mus[n]
 
     def is_nilpotent(self, n: int) -> bool:
@@ -196,7 +194,8 @@ def _factors(M: FPModule):
 
 
 def truncate(ideal: SmithIdeal, n: int) -> TowerLevel:
-    """P^n: quotient both components by I^{n+1}."""
+    """P^n: quotient both components by I^{n+1}; ``power_map_vanishes``
+    is checked on the generator products (see the module docstring)."""
     base = ideal.base
     k = len(ideal.gens)
     prods = ideal.power_products(n + 1)
@@ -206,7 +205,10 @@ def truncate(ideal: SmithIdeal, n: int) -> TowerLevel:
     arrow = Arrow(incl_top)
     top_loc = FPMap(ideal.I, Itop, Matrix.identity(base, k))
     loc = ArrowMap(ideal.j, arrow, top_loc, proj)
-    vanishes = (top_loc * ideal.mu(n + 1)).is_zero_map() if k else True
+    X = express_in(ideal.ambient, ideal.gen_mat, [[p] for p in prods])
+    if X is None:
+        raise ValueError("product left the ideal")
+    vanishes = all(Itop.is_zero_vec(c) for c in X.cols())
     return TowerLevel(n, arrow, loc, vanishes)
 
 
@@ -290,14 +292,10 @@ class GradedPiece:
     def __init__(self, ideal: SmithIdeal, n: int):
         base = ideal.base
         In, _, G_n = ideal.power(n)
-        prods = ideal.power_products(n + 1)
-        cols = []
-        for p in prods:
-            u = express_in(ideal.ambient, G_n, [p])
-            if u is None:
-                raise AssertionError("I^{n+1} not inside I^n")
-            cols.append(u)
-        H = Matrix.from_cols(base, cols, In.ngens)
+        prods = [[p] for p in ideal.power_products(n + 1)]
+        H = express_in(ideal.ambient, G_n, prods)
+        if H is None:
+            raise AssertionError("I^{n+1} not inside I^n")
         gr, proj = quotient(In, H)
         self.n = n
         self.module = gr
@@ -539,13 +537,11 @@ def yekutieli_compare(ideal: SmithIdeal, n: int, N: int):
     route_b, _, _ = trunc.power(n)
 
     In, _, G_n = ideal.power(n)
-    cols = []
-    for p in ideal.power_products(N + 1):
-        u = express_in(ideal.ambient, G_n, [p])
-        if u is None:
-            raise AssertionError("I^{N+1} not inside I^n")
-        cols.append(u)
-    route_c, _ = quotient(In, Matrix.from_cols(base, cols, In.ngens))
+    prods = [[p] for p in ideal.power_products(N + 1)]
+    H = express_in(ideal.ambient, G_n, prods)
+    if H is None:
+        raise AssertionError("I^{N+1} not inside I^n")
+    route_c, _ = quotient(In, H)
 
     k = route_a.ngens
     map_ab = FPMap(route_a, route_b, Matrix.identity(base, k))

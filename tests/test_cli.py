@@ -259,6 +259,34 @@ def test_bad_ring_spec(tmp_path):
     check_exit2(["graded", "--input", str(p), "--ideal", "p"], "rings.R")
 
 
+@pytest.mark.parametrize(
+    "ring,gen,needle",
+    [
+        ({"kind": "integers"}, "2^200000000", "ideals.I.generators[0]: exponent 200000000 is above the cap"),
+        (
+            {"kind": "poly", "coeff": {"fp": 3317044064679887385961981}, "var": "x"},
+            "x",
+            "rings.R: primality is certified only below",
+        ),
+    ],
+)
+def test_oversized_input_is_refused_on_one_line(tmp_path, ring, gen, needle):
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"rings": {"R": ring}, "ideals": {"I": {"ring": "R", "generators": [gen]}}}))
+    code, out, err = run_cli(["tower", "--input", str(p), "--ideal", "I"])
+    assert (code, out) == (2, "")
+    assert needle in err and err.count("\n") == 1, err
+
+
+def test_large_prime_field_loads(tmp_path):
+    p = tmp_path / "fp.json"
+    ring = {"kind": "poly", "coeff": {"fp": 1000000000000000003}, "var": "x"}
+    p.write_text(json.dumps({"rings": {"R": ring}, "ideals": {"I": {"ring": "R", "generators": ["x"]}}}))
+    code, out, _ = run_cli(["tower", "--input", str(p), "--ideal", "I", "--levels", "2"])
+    assert code == 0
+    assert [lv["invariant_factors_algebra"] for lv in json.loads(out)["levels"]] == [["x"], ["x^2"], ["x^3"]]
+
+
 def test_ill_defined_map_names_column(bad_map_doc):
     check_exit2(
         ["tower", "--input", bad_map_doc, "--ideal", "q2"],

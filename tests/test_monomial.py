@@ -11,6 +11,7 @@ from adic_smith.monomial import (
     monomial_tower,
     parse_monomial,
     quotient_basis,
+    transition_is_epi,
 )
 from adic_smith.tower import SmithIdeal, Tower, graded_piece
 
@@ -65,6 +66,16 @@ def test_binomial_dimension_table():
     assert all(lv["transition_epi"] for lv in rep["levels"])
     assert all(lv["retruncation_consistent"] for lv in rep["levels"])
     assert rep["ideal"] == ["x", "y"]
+
+
+def test_transition_epi_is_basis_inclusion():
+    R = MonomialLocalRing("Q", 2, [(1, 0), (0, 1)])
+    b1, b2 = quotient_basis(R, 1), quotient_basis(R, 2)
+    assert transition_is_epi(b1, b2)
+    assert transition_is_epi([], b1)
+    # x^2 lies in I^2, so it is not in the level-1 basis and has no preimage
+    assert not transition_is_epi(b1 + [(2, 0)], b1)
+    assert not transition_is_epi(b2, b1)
 
 
 def test_three_variable_dimensions():

@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from adic_smith.rings import (
     GF,
+    POW_EXPONENT_CAP,
     QQ,
     IntegerRing,
     ModRing,
     PolyRing,
     QuotientRing,
+    is_prime,
     ring_from_json,
 )
 
@@ -157,3 +159,61 @@ def test_gf_rejects_composites():
     with pytest.raises(ValueError):
         GF(9)
     assert GF(7).inv(3) == 5  # 3*5 = 15 = 1 mod 7
+
+
+def _linear_pow(ring, a, n):
+    out = ring.one
+    for _ in range(n):
+        out = ring.mul(out, a)
+    return out
+
+
+@pytest.mark.parametrize(
+    "ring,text",
+    [
+        (ZZ, "-3"),
+        (ModRing(12), "5"),
+        (F2X, "x^2 + x + 1"),
+        (QX, "1/2*x - 3"),
+        (QuotientRing(ZZ, 1000), "7"),
+        (QuotientRing(F2X, poly_from_coeffs(F2X, [1, 0, 1, 1])), "x + 1"),
+    ],
+)
+def test_pow_by_squaring_matches_repeated_product(ring, text):
+    a = ring.parse(text)
+    for n in list(range(20)) + [63, 64, 100]:
+        assert ring.pow(a, n) == _linear_pow(ring, a, n), n
+
+
+def test_pow_exponent_cap():
+    assert ZZ.pow(2, POW_EXPONENT_CAP) == 2**POW_EXPONENT_CAP
+    with pytest.raises(ValueError, match="above the cap"):
+        ZZ.pow(2, POW_EXPONENT_CAP + 1)
+    with pytest.raises(ValueError, match="negative"):
+        ZZ.pow(2, -1)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-5, 5000) if is_prime(n)] == [n for n in range(-5, 5000) if trial(n)]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # Strong pseudoprimes to the first 4, 6, 9 and 12 prime bases.
+    for n in (3215031751, 3474749660383, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(1000000000000000003)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(1000000007 * 1000000009)
+    assert GF(1000000000000000003).p == 1000000000000000003
+
+
+def test_is_prime_refuses_above_certified_bound():
+    # 3317044064679887385961981 is the least strong pseudoprime to the
+    # first 13 prime bases, so the test is exact only below it.
+    with pytest.raises(ValueError, match="certified only below"):
+        GF(3317044064679887385961981)
+    with pytest.raises(ValueError, match="certified only below"):
+        GF(10**400)

@@ -74,6 +74,55 @@ def test_unit_and_zero_ideal_edges():
     assert all(zero.transitions_epi.values())
 
 
+# -- power_map_vanishes against the tensor-power reference ------------
+
+# Every ideal this file builds towers of, plus three with several generators.
+CORPUS = [
+    (ZZ, [2], None),
+    (ZZ, [10], 8),
+    (ZZ, [-2], None),
+    (ZZ, [2], 8),
+    (ZZ, [1], None),
+    (ZZ, [], None),
+    (ZZ, [3], None),
+    (ZZ, [5], None),
+    (ZZ, [4], None),
+    (ZZ, [3], 27),
+    (ZZ, [4, 6], None),
+    (ZZ, [6, 10, 15], None),
+    (ZZ, [6, 10, 15, 4], None),
+    (F2X, [x_pow(F2X, 1)], None),
+    (QX, [x_pow(QX, 1)], None),
+]
+
+
+@pytest.mark.parametrize("ring,gens,amb", CORPUS)
+def test_power_map_vanishes_matches_mu_reference(ring, gens, amb):
+    I = SmithIdeal(ring, gens, ambient_modulus=amb)
+    for n in range(4):
+        lv = truncate(I, n)
+        assert lv.power_map_vanishes == (lv.loc.top * I.mu(n + 1)).is_zero_map(), n
+
+
+def test_towers_and_graded_pieces_never_build_tensor_powers(monkeypatch):
+    """Tower and GradedPiece stay off mu_n: on four generators the
+    4^(n+1)-generator tensor power at these levels does not fit in memory."""
+
+    def refuse(self, n):
+        raise AssertionError("mu called")
+
+    monkeypatch.setattr(SmithIdeal, "mu", refuse)
+    # (6, 10, 15, 4) is the unit ideal: every level is zero.
+    tw = Tower(SmithIdeal(ZZ, [6, 10, 15, 4]), 6)
+    for d in tw.describe():
+        assert d["invariant_factors_ideal"] == [] and d["invariant_factors_algebra"] == []
+        assert d["power_map_vanishes"] and d.get("transition_epi", True)
+    # (12, 20, 30, 8) = (2): I^5/I^6 = (32)/(64) is Z/2.
+    g = graded_piece(SmithIdeal(ZZ, [12, 20, 30, 8]), 5)
+    assert g.module.invariant_factors() == [2]
+    assert g.comparison_is_iso and g.ses_exact and g.kernel_matches_graded
+
+
 # -- towers -----------------------------------------------------------
 
 
