@@ -20,8 +20,6 @@ Entry points:
 * :mod:`adic_smith.cli`      -- ``adic-smith`` command line tool
 """
 
-from adic_smith._snf import BACKEND as SNF_BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["SNF_BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .rings import GF, ring_from_json
+from .rings import GF, json_key, json_object, ring_from_json
 from .linalg import Matrix
 from .fpmod import FPModule, FPMap, _cols_in_span
 from .arrowcat import ArrowMap
@@ -51,7 +51,7 @@ class InputError(ValueError):
 
 
 def _entry(ring, value, path):
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return ring.from_int(value)
     if isinstance(value, str):
         try:
@@ -127,36 +127,37 @@ def load_document(path: str) -> InputDocument:
         if key not in ("rings", "modules", "ideals", "maps"):
             raise InputError(key, "unknown top-level section")
 
+    def entries(section, what):
+        """(name, spec, path) of every entry, each spec checked to be an object."""
+        node = json_object(raw.get(section, {}), "a section", section)
+        return [
+            (name, json_object(spec, what, f"{section}.{name}"), f"{section}.{name}")
+            for name, spec in node.items()
+        ]
+
     rings = {}
-    for name, spec in (raw.get("rings") or {}).items():
-        try:
-            rings[name] = ring_from_json(spec)
-        except ValueError as e:
-            raise InputError(f"rings.{name}", str(e)) from None
+    for name, spec, path in entries("rings", "a ring spec"):
+        rings[name] = ring_from_json(spec, path)
 
     def ring_of(spec, path):
-        rname = spec.get("ring")
+        rname = json_key(spec, "ring", str, "a ring name", path)
         if rname not in rings:
             raise InputError(f"{path}.ring", f"unknown ring {rname!r}")
         return rings[rname]
 
     modules = {}
-    for name, spec in (raw.get("modules") or {}).items():
-        path = f"modules.{name}"
+    for name, spec, path in entries("modules", "a module spec"):
         ring = ring_of(spec, path)
-        ngens = spec.get("generators")
-        if not isinstance(ngens, int) or ngens < 0:
+        ngens = json_key(spec, "generators", int, "a nonnegative integer", path)
+        if ngens < 0:
             raise InputError(f"{path}.generators", "expected a nonnegative integer")
         cols = _relation_cols(ring, spec.get("relations", []), ngens, f"{path}.relations")
         modules[name] = FPModule(ring, ngens, cols)
 
     ideals = {}
-    for name, spec in (raw.get("ideals") or {}).items():
-        path = f"ideals.{name}"
+    for name, spec, path in entries("ideals", "an ideal spec"):
         ring = ring_of(spec, path)
-        gens_spec = spec.get("generators")
-        if not isinstance(gens_spec, list):
-            raise InputError(f"{path}.generators", "expected a list of elements")
+        gens_spec = json_key(spec, "generators", list, "a list of elements", path)
         gens = [_entry(ring, g, f"{path}.generators[{i}]") for i, g in enumerate(gens_spec)]
         amb = spec.get("ambient_modulus")
         ambient = _entry(ring, amb, f"{path}.ambient_modulus") if amb is not None else None
@@ -166,10 +167,9 @@ def load_document(path: str) -> InputDocument:
             raise InputError(path, str(e)) from None
 
     maps = {}
-    for name, spec in (raw.get("maps") or {}).items():
-        path = f"maps.{name}"
-        src = spec.get("source")
-        dst = spec.get("target")
+    for name, spec, path in entries("maps", "a map spec"):
+        src = json_key(spec, "source", str, "an ideal name", path)
+        dst = json_key(spec, "target", str, "an ideal name", path)
         if src not in ideals or dst not in ideals:
             raise InputError(path, "source and target must name ideals")
         S, D = ideals[src], ideals[dst]
@@ -468,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adic-smith",
         description="Taylor towers, completion checks and coherence law audits for ideal inclusions.",
-        epilog="Set ADIC_SMITH_THREADS to cap level-wise parallelism.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, blurb in (

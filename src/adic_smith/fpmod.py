@@ -31,28 +31,7 @@ from adic_smith.linalg import (
     smith_normal_form,
     vstack,
 )
-from adic_smith.rings import IntegerRing, PolyRing, PrimeField, Ring, algebra_split
-
-
-def residues(base: Ring, d):
-    """All canonical remainders mod d, in a deterministic order."""
-    if isinstance(base, IntegerRing):
-        return [k for k in range(abs(d))] or [0]
-    if isinstance(base, PolyRing) and isinstance(base.field, PrimeField):
-        p = base.field.p
-        deg = len(d) - 1
-        out = []
-
-        def rec(prefix):
-            if len(prefix) == deg:
-                out.append(base._strip(prefix))
-                return
-            for c in range(p):
-                rec(prefix + [c])
-
-        rec([])
-        return out or [()]
-    raise TypeError(f"cannot enumerate residues over {base!r}")
+from adic_smith.rings import IntegerRing, PolyRing, PrimeField, Ring, algebra_split, residues
 
 
 class FPModule:

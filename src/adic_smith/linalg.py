@@ -10,15 +10,13 @@ exact identity, checked in tests), plus an independent fraction-free
 determinant.  ``solve_linear`` and ``kernel_basis`` are derived from the
 certificate; both are verified by substitution wherever they are used.
 
-Matrices store raw ring payloads row-major; integer matrices dispatch to
-the dedicated kernel in ``_snf`` (compiled when built, pure Python
-otherwise), everything else goes through the generic ring-op path with
-the same pivot rule: minimal euclidean size, first in row-major order.
+Matrices store raw ring payloads row-major.  Every Euclidean ring, Z
+included, goes through the one ring-op kernel ``_snf_generic``; its pivot
+rule is minimal euclidean size, first in row-major order.
 """
 
 from __future__ import annotations
 
-from adic_smith import _snf
 from adic_smith.rings import IntegerRing, Ring
 
 
@@ -313,12 +311,9 @@ class SNFCertificate:
 
 def smith_normal_form(A: Matrix) -> SNFCertificate:
     ring = A.ring
-    if isinstance(ring, IntegerRing):
-        D, U, V, Ui, Vi, du, dv = _snf.snf_int(A.m, A.n, A.rows)
-    elif ring.is_euclidean:
-        D, U, V, Ui, Vi, du, dv = _snf_generic(ring, A.m, A.n, A.rows)
-    else:
+    if not ring.is_euclidean:
         raise TypeError(f"SNF needs a Euclidean ring, got {ring!r}")
+    D, U, V, Ui, Vi, du, dv = _snf_generic(ring, A.m, A.n, A.rows)
     mk = lambda rows, m, n: Matrix(ring, rows, shape=(m, n), _raw=True)
     return SNFCertificate(
         ring,
@@ -333,7 +328,18 @@ def smith_normal_form(A: Matrix) -> SNFCertificate:
 
 
 def _snf_generic(ring: Ring, m, n, rows):
-    """Ring-op twin of the integer kernel; same pivot rule and sweep order."""
+    """(D, U, V, U_inv, V_inv, det_u, det_v) of an m x n payload matrix.
+
+    Pivot rule: the nonzero entry of minimal euclidean size over the whole
+    trailing block, first in row-major scan order, re-picked on every
+    pass; scanning stops early on a unit.  The column is cleared before
+    the row, so row clearing only ever touches the pivot row, and the
+    pivot is forced to divide the trailing block before the step
+    finishes; the divisibility chain falls out of that.  Re-picking per
+    pass matters: anchoring on one pivot per step lets two trailing
+    columns trade ever-larger entries.  Diagonal entries end as canonical
+    associates, the unit folded into U.
+    """
     zero, one = ring.zero, ring.one
     M = [list(r) for r in rows]
     U = [[one if i == j else zero for j in range(m)] for i in range(m)]

@@ -24,7 +24,9 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 # Largest exponent ``Ring.pow`` accepts.  Documents reach it through
@@ -652,24 +654,9 @@ class QuotientRing(Ring):
         return x
 
     def elements(self):
-        base = self.base
-        if isinstance(base, IntegerRing):
-            return list(range(max(self.modulus, 1)))
-        if isinstance(base.field, PrimeField):
-            p = base.field.p
-            d = len(self.modulus) - 1
-            out = []
-
-            def rec(prefix):
-                if len(prefix) == d:
-                    out.append(base._strip(prefix))
-                    return
-                for c in range(p):
-                    rec(prefix + [c])
-
-            rec([])
-            return out
-        raise TypeError(f"{self!r} is not finite")
+        if not self.is_finite:
+            raise TypeError(f"{self!r} is not finite")
+        return residues(self.base, self.modulus)
 
     def format_elem(self, a):
         return self.base.format_elem(a)
@@ -760,6 +747,20 @@ class RingElem:
         return f"<{self.ring.format_elem(self.payload)} in {self.ring!r}>"
 
 
+def residues(base: Ring, d):
+    """All canonical remainders mod a nonzero d over Z or F_p[x], in a fixed order.
+
+    Over Z: 0, 1, ..., |d| - 1.  Over F_p[x]: every coefficient vector of
+    length deg d, lexicographically, with the constant term varying
+    slowest.  Element tables and report orders are built on this order.
+    """
+    if isinstance(base, IntegerRing):
+        return list(range(abs(d))) or [0]
+    if isinstance(base, PolyRing) and isinstance(base.field, PrimeField):
+        return [base._strip(c) for c in product(range(base.field.p), repeat=len(d) - 1)]
+    raise TypeError(f"cannot enumerate residues over {base!r}")
+
+
 def algebra_split(ring: Ring):
     """(Euclidean base R, modulus payload or None) for an algebra A = R/(f).
 
@@ -774,27 +775,53 @@ def algebra_split(ring: Ring):
     raise ValueError(f"not a supported module algebra: {ring!r}")
 
 
-def _field_from_json(obj):
-    if obj == "rationals":
-        return QQ
-    if isinstance(obj, dict) and "fp" in obj:
-        return GF(obj["fp"])
-    raise ValueError(f"unknown coefficient field spec: {obj!r}")
+def json_object(node, what: str, path: str) -> dict:
+    """``node`` if it is a JSON object, else ValueError naming ``path``."""
+    if not isinstance(node, dict):
+        raise ValueError(f"{path}: expected {what} (an object), got {reprlib.repr(node)}")
+    return node
 
 
-def ring_from_json(obj) -> Ring:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError(f"bad ring spec: {obj!r}")
-    kind = obj["kind"]
+def json_key(node: dict, key: str, types, what: str, path: str):
+    """``node[key]`` if present and of one of ``types``, else ValueError
+    naming ``path.key``.  JSON true/false never pass as integers."""
+    if key not in node:
+        raise ValueError(f"{path}.{key}: missing, expected {what}")
+    value = node[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{path}.{key}: expected {what}, got {reprlib.repr(value)}")
+    return value
+
+
+def _built(path: str, make, *args):
+    """make(*args), with a ValueError it raises prefixed by ``path``."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def ring_from_json(obj, path: str = "ring") -> Ring:
+    """The ring a JSON spec names.  A malformed spec raises ValueError
+    whose message starts with the JSON path of the offending node."""
+    json_object(obj, "a ring spec", path)
+    kind = json_key(obj, "kind", str, "a ring kind", path)
     if kind == "integers":
         return ZZ
     if kind == "mod":
-        return ModRing(int(obj["n"]))
+        return _built(path, ModRing, json_key(obj, "n", int, "an integer", path))
     if kind == "poly":
-        return PolyRing(_field_from_json(obj["coeff"]), obj["var"])
+        coeff = obj.get("coeff")
+        if coeff == "rationals":
+            field = QQ
+        else:
+            spec = json_object(coeff, '"rationals" or {"fp": p}', f"{path}.coeff")
+            field = _built(path, GF, json_key(spec, "fp", int, "an integer", f"{path}.coeff"))
+        return _built(path, PolyRing, field, json_key(obj, "var", str, "a variable name", path))
     if kind == "quotient":
-        base = ring_from_json(obj["base"])
+        base = ring_from_json(json_key(obj, "base", dict, "a ring spec", path), f"{path}.base")
         if isinstance(base, QuotientRing):
-            raise ValueError("nested quotients are not supported")
-        return QuotientRing(base, base.parse(obj["modulus"]))
-    raise ValueError(f"unknown ring kind: {kind!r}")
+            raise ValueError(f"{path}.base: nested quotients are not supported")
+        modulus = json_key(obj, "modulus", str, "an element string", path)
+        return _built(path, QuotientRing, base, _built(f"{path}.modulus", base.parse, modulus))
+    raise ValueError(f"{path}.kind: unknown ring kind {kind!r}")

@@ -27,7 +27,6 @@ level-indexed verdict obtained by re-truncating the level-N data.
 
 from __future__ import annotations
 
-import os
 from itertools import combinations_with_replacement, product
 
 from adic_smith.arrowcat import (
@@ -50,21 +49,6 @@ from adic_smith.fpmod import (
 )
 from adic_smith.linalg import Matrix
 from adic_smith.rings import Ring, algebra_split
-
-
-def parallel_map(fn, items):
-    """Map preserving order; threads capped by ADIC_SMITH_THREADS."""
-    items = list(items)
-    try:
-        threads = int(os.environ.get("ADIC_SMITH_THREADS", "") or 1)
-    except ValueError:
-        threads = 1
-    if threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
 
 
 class SmithIdeal:
@@ -230,7 +214,7 @@ class Tower:
             raise ValueError("tower bound must be >= 0")
         self.ideal = ideal
         self.N = N
-        self.levels = parallel_map(lambda n: truncate(ideal, n), range(N + 1))
+        self.levels = [truncate(ideal, n) for n in range(N + 1)]
         self.transitions = {}
         self.transitions_epi = {}
         for n in range(1, N + 1):
@@ -384,9 +368,7 @@ class ModuleTower:
         self.N = N
         LM = embed("L1", M)
         base_tower = Tower(ideal, N)
-        self.levels = parallel_map(
-            lambda n: pushout_product(base_tower.level(n).arrow, LM), range(N + 1)
-        )
+        self.levels = [pushout_product(base_tower.level(n).arrow, LM) for n in range(N + 1)]
         self.transitions = {}
         self.transitions_epi = {}
         idLM = ArrowMap.identity(LM)
@@ -468,7 +450,7 @@ def check_analytic_equivalence(src: SmithIdeal, dst: SmithIdeal, phi: ArrowMap, 
             }
         return e
 
-    return LevelVerdict("analytic-equivalence", parallel_map(entry, range(N + 1)))
+    return LevelVerdict("analytic-equivalence", [entry(n) for n in range(N + 1)])
 
 
 def check_complete(ideal: SmithIdeal, N: int) -> LevelVerdict:
@@ -510,7 +492,7 @@ def check_module_complete(ideal: SmithIdeal, M: FPModule, N: int) -> LevelVerdic
         except ValueError as e:
             return {"level": n, "ok": False, "obstruction": {"comparison": str(e)}}
 
-    return LevelVerdict("module-complete", parallel_map(entry, range(N + 1)))
+    return LevelVerdict("module-complete", [entry(n) for n in range(N + 1)])
 
 
 # -- power comparison routes ------------------------------------------

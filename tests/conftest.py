@@ -1,11 +1,4 @@
-import importlib.util
 import random
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -14,63 +7,10 @@ from adic_smith.linalg import Matrix
 
 ZZ = IntegerRing()
 
-REPO = Path(__file__).resolve().parent.parent
-_CC = (sysconfig.get_config_var("CC") or "").split()[:1]
-_PYTHON_H = Path(sysconfig.get_paths()["include"]) / "Python.h"
-
-# What `setup.py build_ext` needs to compile the shipped _snf_cy.c.
-needs_c_build = pytest.mark.skipif(
-    not (_CC and shutil.which(_CC[0]) and _PYTHON_H.is_file()),
-    reason=f"no C compiler {_CC} on PATH or no {_PYTHON_H}",
-)
-
 
 @pytest.fixture
 def rng():
     return random.Random(20260823)
-
-
-@pytest.fixture(scope="session")
-def snf_build(tmp_path_factory):
-    """A copy of the package with the compiled SNF kernel built in place.
-
-    The build runs once per session in a temporary directory, so the
-    source tree keeps its pure-Python kernel.  ``log`` holds the build's
-    output for failure messages; an optional extension that fails to
-    compile only warns, so callers check for the result themselves.
-    """
-    root = tmp_path_factory.mktemp("snf_build")
-    for name in ("setup.py", "pyproject.toml", "README.md"):
-        shutil.copy2(REPO / name, root / name)
-    shutil.copytree(
-        REPO / "src", root / "src", ignore=shutil.ignore_patterns("__pycache__", "*.so")
-    )
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"],
-        cwd=root,
-        capture_output=True,
-        text=True,
-    )
-    log = f"build exit {proc.returncode}\n--- stdout\n{proc.stdout}\n--- stderr\n{proc.stderr}"
-    return SimpleNamespace(src=root / "src", log=log)
-
-
-@pytest.fixture(scope="session")
-def snf_cy(snf_build):
-    """The compiled kernel from ``snf_build``, loaded without registering it.
-
-    The module is dropped from ``sys.modules`` after loading, so later
-    ``import adic_smith._snf_cy`` calls in this process are unaffected.
-    """
-    built = sorted((snf_build.src / "adic_smith").glob("_snf_cy*.so"))
-    assert built, f"build produced no _snf_cy extension\n{snf_build.log}"
-    spec = importlib.util.spec_from_file_location("adic_smith._snf_cy", built[0])
-    module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.modules.pop("adic_smith._snf_cy", None)
-    return module
 
 
 def poly_from_coeffs(ring, coeffs):

