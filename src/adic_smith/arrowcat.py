@@ -194,16 +194,6 @@ def tensor_arrows(a: Arrow, b: Arrow) -> Arrow:
     return Arrow(both)
 
 
-def tensor_arrow_maps(phi: ArrowMap, psi: ArrowMap) -> ArrowMap:
-    return ArrowMap(
-        tensor_arrows(phi.source, psi.source),
-        tensor_arrows(phi.target, psi.target),
-        tensor_map(phi.top, psi.top),
-        tensor_map(phi.bottom, psi.bottom),
-        check=False,
-    )
-
-
 def pushout_product(a: Arrow, b: Arrow) -> Arrow:
     """a box b; source generators are the X0 Y1 block then the X1 Y0 block."""
     if a.algebra != b.algebra:

@@ -494,6 +494,10 @@ def main(argv=None) -> int:
         if not args.input:
             sys.stderr.write(f"input error: --input: {args.command} needs a document\n")
             return EXIT_INPUT
+    for flag, value in (("--levels", args.levels), ("--depth", args.depth)):
+        if value < 0:
+            sys.stderr.write(f"input error: {flag}: must be >= 0, got {value}\n")
+            return EXIT_INPUT
     if args.command != "tower" and args.engine == "monomial":
         sys.stderr.write("input error: --engine: only tower supports the monomial engine\n")
         return EXIT_INPUT

@@ -29,6 +29,8 @@ from adic_smith.linalg import (
     kron,
     matvec,
     smith_normal_form,
+    solve_linear,
+    solve_matrix,
     vstack,
 )
 from adic_smith.rings import IntegerRing, PolyRing, PrimeField, Ring, algebra_split, residues
@@ -60,7 +62,7 @@ class FPModule:
                 col[i] = modulus
                 cols.append(col)
         raw = Matrix.from_cols(base, cols, ngens)
-        H, _ = column_hermite(raw)
+        H = column_hermite(raw)
         zero = base.zero
         keep = [j for j in range(H.n) if any(H.rows[i][j] != zero for i in range(ngens))]
         self.algebra = algebra
@@ -135,9 +137,6 @@ class FPModule:
     def is_zero_vec(self, v) -> bool:
         zero = self.base.zero
         return all(x == zero for x in self.reduce_vec(v))
-
-    def vecs_equal(self, v, w) -> bool:
-        return self.reduce_vec(v) == self.reduce_vec(w)
 
     def elements(self):
         """All reduced coordinate tuples, or TypeError if infinite."""
@@ -372,8 +371,6 @@ class FPMap:
 def _cols_in_span(M: FPModule, B: Matrix) -> bool:
     """Do all columns of B lie in M's relation lattice?"""
     cert = M.rel_cert()
-    from adic_smith.linalg import solve_linear
-
     for j in range(B.n):
         if solve_linear(M.rel, B.col(j), cert) is None:
             return False
@@ -382,24 +379,12 @@ def _cols_in_span(M: FPModule, B: Matrix) -> bool:
 
 def _solve_top(A: Matrix, B: Matrix, top: int):
     """Solve A [x; w] = b per column of B; return the x-rows, or None."""
-    from adic_smith.linalg import solve_matrix
-
     X = solve_matrix(A, B)
     if X is None:
         return None
     return Matrix(
         A.ring, [X.rows[i] for i in range(top)], shape=(top, X.n), _raw=True
     )
-
-
-def express_in(M: FPModule, G: Matrix, vecs):
-    """X with G X = vecs modulo M's relations, one column per vector of M,
-    or None when some vector is outside the span of G.  One SNF of
-    [G | rel] serves every vector."""
-    cols = [M.coerce_vec(v) for v in vecs]
-    rows = [[c[i] for c in cols] for i in range(M.ngens)]
-    B = Matrix(M.base, rows, shape=(M.ngens, len(cols)), _raw=True)
-    return _solve_top(hstack(G, M.rel), B, G.n)
 
 
 # -- subquotients -----------------------------------------------------
@@ -587,19 +572,10 @@ class HomModule:
             for i in range(gN)
         ]
         T = kron(Matrix.identity(self.src.base, self.src.ngens), self.dst.rel)
-        u = express_in_free(hstack(self.G, T), v, self.G.n)
-        if u is None:
+        sol = solve_linear(hstack(self.G, T), v)
+        if sol is None:
             raise ValueError("map is not in the hom lattice")
-        return self.module.reduce_vec(u)
-
-
-def express_in_free(A: Matrix, v, top: int):
-    from adic_smith.linalg import solve_linear
-
-    sol = solve_linear(A, v)
-    if sol is None:
-        return None
-    return tuple(sol[:top])
+        return self.module.reduce_vec(sol[: self.G.n])
 
 
 def curry(f: FPMap, M: FPModule, N: FPModule, H: HomModule | None = None) -> FPMap:

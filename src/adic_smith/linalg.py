@@ -187,15 +187,6 @@ class Matrix:
                 out.append(row)
         return Matrix(self.ring, out, shape=(self.m, other.n), _raw=True)
 
-    def scale(self, c) -> "Matrix":
-        mul = self.ring.mul
-        return Matrix(
-            self.ring,
-            [[mul(c, a) for a in r] for r in self.rows],
-            shape=(self.m, self.n),
-            _raw=True,
-        )
-
     def _check_same_shape(self, other):
         if other.ring != self.ring or (other.m, other.n) != (self.m, self.n):
             raise ValueError("shape or ring mismatch")
@@ -298,15 +289,6 @@ class SNFCertificate:
 
     def diagonal(self):
         return [self.D.rows[i][i] for i in range(min(self.D.m, self.D.n))]
-
-    def nontrivial_diagonal(self):
-        """Diagonal entries that are neither zero nor units."""
-        ring = self.ring
-        return [
-            d
-            for d in self.diagonal()
-            if d != ring.zero and not ring.is_unit(d)
-        ]
 
 
 def smith_normal_form(A: Matrix) -> SNFCertificate:
@@ -541,8 +523,9 @@ def det(A: Matrix):
     return ring.mul(sign, M[n - 1][n - 1])
 
 
-def column_hermite(A: Matrix):
-    """(H, V) with A V = H in column echelon form, V unimodular.
+def column_hermite(A: Matrix) -> Matrix:
+    """H = A V in column echelon form for some unimodular V, which is
+    not kept: H has the column span of A.
 
     Pivots are canonical associates; entries left of a pivot are reduced
     mod the pivot. Deterministic: same pivot rule as the SNF sweep.
@@ -553,21 +536,15 @@ def column_hermite(A: Matrix):
     zero, one = ring.zero, ring.one
     m, n = A.m, A.n
     H = [list(r) for r in A.rows]
-    V = [[one if i == j else zero for j in range(n)] for i in range(n)]
 
     def col_sub(j, t, q):
         for r in range(m):
             if H[r][t] != zero:
                 H[r][j] = ring.sub(H[r][j], ring.mul(q, H[r][t]))
-        for r in range(n):
-            if V[r][t] != zero:
-                V[r][j] = ring.sub(V[r][j], ring.mul(q, V[r][t]))
 
     def swap_cols(i, j):
         for r in range(m):
             H[r][i], H[r][j] = H[r][j], H[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
 
     pivots = []
     c = 0
@@ -602,8 +579,6 @@ def column_hermite(A: Matrix):
         if u != one:
             for r in range(m):
                 H[r][c] = ring.mul(u, H[r][c])
-            for r in range(n):
-                V[r][c] = ring.mul(u, V[r][c])
         pivots.append((r0, c))
         c += 1
 
@@ -614,7 +589,4 @@ def column_hermite(A: Matrix):
                 if q != zero:
                     col_sub(j, cc, q)
 
-    return (
-        Matrix(ring, H, shape=(m, n), _raw=True),
-        Matrix(ring, V, shape=(n, n), _raw=True),
-    )
+    return Matrix(ring, H, shape=(m, n), _raw=True)

@@ -595,10 +595,6 @@ def cokernel_table(a: TableArrow):
     return quotient_table(a.dst, [a.f[x] for x in a.src.elements])
 
 
-def extend_on_gens(src: TableModule, dst: TableModule, gen_images) -> dict:
-    return {x: dst.combine(src.coords[x], gen_images) for x in src.elements}
-
-
 # -- arrows and functors over tables ---------------------------------
 
 

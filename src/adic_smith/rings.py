@@ -10,8 +10,7 @@ Every ring in the package is one of
 
 Arithmetic is done on raw *payloads* (int, tuple of coefficients, ...),
 not on wrapper objects, so the linear-algebra layer can run tight loops.
-``RingElem`` is a thin operator-overloading wrapper for the API surface
-and the CLI.  All payloads are kept canonical at all times:
+All payloads are kept canonical at all times:
 
 * integers mod n reduced to [0, n)
 * polynomial coefficient tuples have no trailing zeros; rationals are
@@ -254,12 +253,6 @@ class Ring:
         u = self.canonical_unit(r0) if not self.is_zero(r0) else self.one
         return self.mul(u, r0), self.mul(u, s0), self.mul(u, t0)
 
-    def gcd_list(self, items):
-        g = self.zero
-        for a in items:
-            g, _, _ = self.xgcd(g, a)
-        return g
-
     # -- misc ---------------------------------------------------------
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -281,17 +274,6 @@ class Ring:
         from adic_smith import exprparse
 
         return exprparse.parse_payload(text, self)
-
-    def elem(self, x) -> "RingElem":
-        if isinstance(x, RingElem):
-            if x.ring != self:
-                raise ValueError(f"element of {x.ring!r}, wanted {self!r}")
-            return x
-        if isinstance(x, str):
-            return RingElem(self, self.parse(x))
-        if isinstance(x, int):
-            return RingElem(self, self.from_int(x))
-        return RingElem(self, self.coerce_payload(x))
 
     def to_json(self):
         raise NotImplementedError
@@ -683,68 +665,6 @@ class QuotientRing(Ring):
 
 
 ZZ = IntegerRing()
-
-
-class RingElem:
-    """Operator-overloading wrapper around (ring, payload)."""
-
-    __slots__ = ("ring", "payload")
-
-    def __init__(self, ring: Ring, payload):
-        self.ring = ring
-        self.payload = payload
-
-    def _rhs(self, other):
-        if isinstance(other, RingElem):
-            if other.ring != self.ring:
-                raise ValueError("mixed rings")
-            return other.payload
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        raise TypeError(f"cannot combine with {other!r}")
-
-    def __add__(self, other):
-        return RingElem(self.ring, self.ring.add(self.payload, self._rhs(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return RingElem(self.ring, self.ring.sub(self.payload, self._rhs(other)))
-
-    def __rsub__(self, other):
-        return RingElem(self.ring, self.ring.sub(self._rhs(other), self.payload))
-
-    def __mul__(self, other):
-        return RingElem(self.ring, self.ring.mul(self.payload, self._rhs(other)))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RingElem(self.ring, self.ring.neg(self.payload))
-
-    def __pow__(self, n: int):
-        return RingElem(self.ring, self.ring.pow(self.payload, n))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.payload == self.ring.from_int(other)
-        return (
-            isinstance(other, RingElem)
-            and other.ring == self.ring
-            and other.payload == self.payload
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.payload))
-
-    def __bool__(self):
-        return not self.ring.is_zero(self.payload)
-
-    def __str__(self):
-        return self.ring.format_elem(self.payload)
-
-    def __repr__(self):
-        return f"<{self.ring.format_elem(self.payload)} in {self.ring!r}>"
 
 
 def residues(base: Ring, d):

@@ -13,13 +13,25 @@ epic, kernel of a transition against the graded piece I^n/I^{n+1},
 re-truncation consistency, the three power-comparison routes) is
 certified by explicit maps, never inferred.
 
+Generator products are written in closed form.  I^n is spanned by the
+products over the sorted multisets of n generator indices, and for
+m <= n the product over c is the product over c[:m] times the product
+over c[m:].  So ``SmithIdeal.product_coords(m, n)`` gives each n-fold
+product one coordinate in the m-fold ones, and a single multiply-out
+against the products themselves certifies the whole matrix.  Truncation
+(m = 1), graded pieces (n against n+1), route (c) of the power
+comparison and mu_n all take their coordinates from it.
+
 A level's ``power_map_vanishes`` certifies that the composite
 I^(tensor n+1) -> I -> I/I^{n+1} of mu_{n+1} with the truncation is zero.
 A module map is zero exactly when it kills every generator, and the
 generators of the tensor power go to the (n+1)-fold generator products,
 which in a commutative ring depend only on the multiset of factors.  So
-the check runs on the C(k+n, n+1) generator products, expressed in the
-generators by one SNF, never on the k^(n+1)-generator tensor power.
+the check runs on the C(k+n, n+1) columns of ``product_coords(1, n+1)``,
+never on the k^(n+1)-generator tensor power.  ``SmithIdeal.mu``,
+``tensor_power_of_ideal`` and ``is_nilpotent`` are kept as library API
+for the paper's mu_n and its nilpotence predicate; no command builds a
+tensor power.
 
 The inverse limit is never materialized: completeness is always a
 level-indexed verdict obtained by re-truncating the level-N data.
@@ -41,7 +53,6 @@ from adic_smith.fpmod import (
     FPMap,
     FPModule,
     are_isomorphic,
-    express_in,
     is_exact_pair,
     quotient,
     submodule,
@@ -57,7 +68,9 @@ class SmithIdeal:
     ``ambient_modulus`` adds one principal relation to the rank-one
     ambient, so a truncation A/I^{N+1} is again a SmithIdeal and towers
     compose.  Generators are stored reduced; the inclusion is certified
-    mono and multiplicatively closed at construction.
+    mono at construction.  Closure under products needs no check: the
+    algebra A = R/(f) is cyclic over R, so the R-span of the generators
+    is already an ideal (g_i g_j is g_i times the generator g_j).
     """
 
     __slots__ = ("algebra", "base", "modulus", "ambient", "gens", "gen_mat", "I", "incl", "_powers", "_mus")
@@ -78,12 +91,6 @@ class SmithIdeal:
         self._mus = {}
         if not self.incl.is_injective():
             raise ValueError("ideal inclusion is not mono")
-        if len(gens) and not self._closed_under_products():
-            raise ValueError("generators are not multiplicatively closed into the ideal")
-
-    def _closed_under_products(self) -> bool:
-        prods = [[p] for p in self.power_products(2)]
-        return express_in(self.ambient, self.gen_mat, prods) is not None
 
     @property
     def j(self) -> Arrow:
@@ -94,23 +101,49 @@ class SmithIdeal:
         return self.ambient.rel.rows[0][0] if self.ambient.rel.n else None
 
     # -- powers and multiplication ------------------------------------
-    def power_products(self, n: int):
-        """All n-fold products of the generators, reduced; I^0 gives [1]."""
+    def _product(self, combo):
+        """The reduced product of the generators indexed by ``combo``."""
         base = self.base
-        out = []
-        for combo in combinations_with_replacement(range(len(self.gens)), n):
-            p = base.one
-            for t in combo:
-                p = base.mul(p, self.gens[t])
-            out.append(self.ambient.reduce_vec([p])[0])
-        return out
+        p = base.one
+        for t in combo:
+            p = base.mul(p, self.gens[t])
+        return self.ambient.reduce_vec([p])[0]
+
+    def power_products(self, n: int):
+        """All n-fold products of the generators, reduced; I^0 gives [1].
+        The order is that of the sorted index multisets."""
+        return [self._product(c) for c in combinations_with_replacement(range(len(self.gens)), n)]
+
+    def product_coords(self, m: int, n: int) -> Matrix:
+        """X with power_products(m) X = power_products(n) modulo the
+        ambient relation, for 0 <= m <= n.
+
+        The column of a sorted multiset c has one nonzero entry, the
+        reduced product over c[m:], in the row of c[:m].  One
+        multiply-out certifies the whole matrix.
+        """
+        if not 0 <= m <= n:
+            raise ValueError("product coordinates need 0 <= m <= n")
+        base = self.base
+        k = len(self.gens)
+        row = {c: i for i, c in enumerate(combinations_with_replacement(range(k), m))}
+        combos = list(combinations_with_replacement(range(k), n))
+        rows = [[base.zero] * len(combos) for _ in row]
+        for j, c in enumerate(combos):
+            rows[row[c[:m]]][j] = self._product(c[m:])
+        X = Matrix(base, rows, shape=(len(row), len(combos)), _raw=True)
+        G = Matrix(base, [self.power_products(m)], shape=(1, len(row)), _raw=True)
+        for x, p in zip((G * X).rows[0], self.power_products(n)):
+            if not self.ambient.is_zero_vec([base.sub(x, p)]):
+                raise AssertionError("generator products do not multiply out")
+        return X
 
     def power(self, n: int):
         """(I^n as a submodule of the ambient, inclusion)."""
         if n not in self._powers:
             prods = self.power_products(n)
             G = Matrix(self.base, [prods], shape=(1, len(prods)))
-            self._powers[n] = submodule(self.ambient, G) + (G,)
+            self._powers[n] = submodule(self.ambient, G)
         return self._powers[n]
 
     def tensor_power_of_ideal(self, n: int) -> FPModule:
@@ -124,20 +157,14 @@ class SmithIdeal:
         if n < 1:
             raise ValueError("mu needs n >= 1")
         if n not in self._mus:
-            base = self.base
-            T = self.tensor_power_of_ideal(n)
+            k = len(self.gens)
+            X = self.product_coords(1, n)
+            col = {c: j for j, c in enumerate(combinations_with_replacement(range(k), n))}
             # Tensor generator (t_1, ..., t_n) sits at flat index
             # sum t_i k^(n-i), the order of itertools.product.
-            prods = []
-            for digits in product(self.gens, repeat=n):
-                p = base.one
-                for g in digits:
-                    p = base.mul(p, g)
-                prods.append(self.ambient.reduce_vec([p]))
-            X = express_in(self.ambient, self.gen_mat, prods)
-            if X is None:
-                raise ValueError("product left the ideal")
-            self._mus[n] = FPMap(T, self.I, X)
+            cols = [X.col(col[tuple(sorted(t))]) for t in product(range(k), repeat=n)]
+            mat = Matrix.from_cols(self.base, cols, k)
+            self._mus[n] = FPMap(self.tensor_power_of_ideal(n), self.I, mat)
         return self._mus[n]
 
     def is_nilpotent(self, n: int) -> bool:
@@ -180,6 +207,8 @@ def _factors(M: FPModule):
 def truncate(ideal: SmithIdeal, n: int) -> TowerLevel:
     """P^n: quotient both components by I^{n+1}; ``power_map_vanishes``
     is checked on the generator products (see the module docstring)."""
+    if n < 0:
+        raise ValueError("truncation level must be >= 0")
     base = ideal.base
     k = len(ideal.gens)
     prods = ideal.power_products(n + 1)
@@ -189,9 +218,7 @@ def truncate(ideal: SmithIdeal, n: int) -> TowerLevel:
     arrow = Arrow(incl_top)
     top_loc = FPMap(ideal.I, Itop, Matrix.identity(base, k))
     loc = ArrowMap(ideal.j, arrow, top_loc, proj)
-    X = express_in(ideal.ambient, ideal.gen_mat, [[p] for p in prods])
-    if X is None:
-        raise ValueError("product left the ideal")
+    X = ideal.product_coords(1, n + 1)
     vanishes = all(Itop.is_zero_vec(c) for c in X.cols())
     return TowerLevel(n, arrow, loc, vanishes)
 
@@ -275,12 +302,8 @@ class GradedPiece:
 
     def __init__(self, ideal: SmithIdeal, n: int):
         base = ideal.base
-        In, _, G_n = ideal.power(n)
-        prods = [[p] for p in ideal.power_products(n + 1)]
-        H = express_in(ideal.ambient, G_n, prods)
-        if H is None:
-            raise AssertionError("I^{n+1} not inside I^n")
-        gr, proj = quotient(In, H)
+        In, _ = ideal.power(n)
+        gr, proj = quotient(In, ideal.product_coords(n, n + 1))
         self.n = n
         self.module = gr
 
@@ -516,14 +539,10 @@ def yekutieli_compare(ideal: SmithIdeal, n: int, N: int):
     route_a, _ = submodule(Abar, Ga)
 
     trunc = truncated_ideal(ideal, N)
-    route_b, _, _ = trunc.power(n)
+    route_b, _ = trunc.power(n)
 
-    In, _, G_n = ideal.power(n)
-    prods = [[p] for p in ideal.power_products(N + 1)]
-    H = express_in(ideal.ambient, G_n, prods)
-    if H is None:
-        raise AssertionError("I^{N+1} not inside I^n")
-    route_c, _ = quotient(In, H)
+    In, _ = ideal.power(n)
+    route_c, _ = quotient(In, ideal.product_coords(n, N + 1))
 
     k = route_a.ngens
     map_ab = FPMap(route_a, route_b, Matrix.identity(base, k))

@@ -339,6 +339,30 @@ def test_yekutieli_level_range(doc):
     )
 
 
+# "@" stands for the document path.
+NEGATIVE_LEVEL_RUNS = [
+    ["tower", "--input", "@", "--ideal", "p2"],
+    ["tower", "--engine", "monomial", "--ideal", "x^2", "--vars", "x"],
+    ["graded", "--input", "@", "--ideal", "p2"],
+    ["complete-check", "--input", "@", "--ideal", "p2"],
+    ["analytic-check", "--input", "@", "--map", "same"],
+    ["adic-module", "--input", "@", "--ideal", "p2", "--module", "T8"],
+    ["yekutieli", "--input", "@", "--ideal", "p2"],
+    ["almost"],
+    ["verify-laws", "--ring", "z2"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_LEVEL_RUNS, ids=lambda a: a[0] + "-monomial" * ("monomial" in a))
+def test_negative_levels_refused(doc, argv):
+    argv = [doc if a == "@" else a for a in argv] + ["--levels", "-1"]
+    check_exit2(argv, "input error: --levels: must be >= 0, got -1")
+
+
+def test_negative_depth_refused():
+    check_exit2(["almost", "--depth", "-1"], "input error: --depth: must be >= 0, got -1")
+
+
 def test_verify_laws_bad_ring():
     check_exit2(["verify-laws", "--ring", "zz"], "law corpora exist over")
 

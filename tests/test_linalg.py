@@ -152,13 +152,27 @@ def test_det_matches_cofactor_expansion(rng):
 
 
 def test_column_hermite_preserves_column_span(rng):
-    A = random_int_matrix(rng, 3, 4, bound=6)
-    H, T = column_hermite(A)
-    assert A * T == H
-    assert ZZ.is_unit(det(T)) if T.m == T.n else True
-    # spans agree: each column of H solvable from A and vice versa
-    assert solve_matrix(A, H) is not None
-    assert solve_matrix(H, A) is not None
+    for _ in range(10):
+        A = random_int_matrix(rng, 3, 4, bound=6)
+        H = column_hermite(A)
+        # spans agree: each column of H solvable from A and vice versa
+        assert solve_matrix(A, H) is not None
+        assert solve_matrix(H, A) is not None
+        # column echelon form: each nonzero column's first nonzero row is
+        # strictly below the previous one, and zero columns come last
+        lead = []
+        for j in range(H.n):
+            rows = [i for i in range(H.m) if H.rows[i][j] != 0]
+            if not rows:
+                assert all(not any(H.col(t)) for t in range(j, H.n))
+                break
+            lead.append(rows[0])
+        assert lead == sorted(set(lead))
+        for j, r in enumerate(lead):
+            p = H.rows[r][j]
+            assert ZZ.canonical_unit(p) == 1
+            # entries left of a pivot are reduced modulo it
+            assert all(0 <= H.rows[r][t] < p for t in range(j))
 
 
 def test_stacking_and_blocks():

@@ -6,11 +6,16 @@ for principal ideals in Z and k[x]: truncating (p) at level n gives
 Z/p^{n+1} and every graded piece is Z/p; likewise with x for k[x].
 """
 
+import hashlib
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SMALL_RINGS, ZZ, poly_from_coeffs
-from adic_smith.fpmod import FPMap, FPModule, are_isomorphic
+from adic_smith.fpmod import FPMap, FPModule, are_isomorphic, quotient
 from adic_smith.arrowcat import ArrowMap
+from adic_smith.linalg import Matrix, hstack, solve_matrix
 from adic_smith.tower import (
     ModuleTower,
     SmithIdeal,
@@ -362,3 +367,123 @@ def test_yekutieli_rejects_bad_range():
         yekutieli_compare(I, 0, 3)
     with pytest.raises(ValueError, match="1 <= n <= N"):
         yekutieli_compare(I, 4, 3)
+
+
+# -- closed-form product coordinates ----------------------------------
+
+
+def reference_coords(I, m, prods):
+    """Coordinates of ``prods`` in the m-fold generator products, from an
+    SNF solve modulo the ambient relation."""
+    G = Matrix(I.base, [I.power_products(m)])
+    B = Matrix(I.base, [prods], shape=(1, len(prods)))
+    X = solve_matrix(hstack(G, I.ambient.rel), B)
+    assert X is not None
+    return Matrix(I.base, X.rows[: G.n], shape=(G.n, len(prods)))
+
+
+f2x_elems = st.lists(st.integers(0, 1), min_size=1, max_size=4).map(
+    lambda cs: poly_from_coeffs(F2X, cs)
+)
+ideal_cases = st.one_of(
+    st.tuples(
+        st.just(ZZ),
+        st.lists(st.integers(-12, 12), min_size=1, max_size=3),
+        st.sampled_from([None, 8, 12, 27]),
+    ),
+    st.tuples(st.just(F2X), st.lists(f2x_elems, min_size=1, max_size=3), st.just(None)),
+)
+
+
+@st.composite
+def coords_cases(draw):
+    """(ideal case, m, n) with 0 <= m <= n <= 4.  Three generators stop
+    at n = 2, because building I^m runs into coefficient blow-up in the
+    Hermite form of its syzygies: I^4 of (7, 10, 9) over Z does not
+    finish in minutes, and I^3 of (x^2+x, x^3, x^2+1) over F_2[x] takes
+    a second."""
+    case = draw(ideal_cases)
+    n = draw(st.integers(0, 4 if len(case[1]) <= 2 else 2))
+    return case, draw(st.integers(0, n)), n
+
+
+@given(coords_cases())
+@settings(max_examples=100, deadline=None)
+def test_product_coords_match_snf_reference(drawn):
+    case, m, n = drawn
+    ring, gens, amb = case
+    I = SmithIdeal(ring, gens, ambient_modulus=amb)
+    Im, _ = I.power(m)
+    X_ref = reference_coords(I, m, I.power_products(n))
+    assert quotient(Im, I.product_coords(m, n))[0] == quotient(Im, X_ref)[0]
+    k = len(I.gens)
+    if n >= 1 and k**n <= 27:
+        ordered = []
+        for t in product(I.gens, repeat=n):
+            p = I.base.one
+            for g in t:
+                p = I.base.mul(p, g)
+            ordered.append(p)
+        mu_ref = FPMap(I.tensor_power_of_ideal(n), I.I, reference_coords(I, 1, ordered))
+        assert I.mu(n).mat == mu_ref.mat
+
+
+def test_product_coords_range():
+    I = SmithIdeal(ZZ, [4, 6])
+    with pytest.raises(ValueError):
+        I.product_coords(2, 1)
+    with pytest.raises(ValueError):
+        I.product_coords(-1, 1)
+    with pytest.raises(ValueError):
+        truncate(I, -1)
+    with pytest.raises(ValueError):
+        truncated_ideal(I, -1)
+
+
+def test_graded_rels_of_unit_ideals_frozen():
+    """(6, 10, 15, 4) over Z and (x^2+x, x^3, x^2+1) over F_2[x] are unit
+    ideals: every I^n/I^{n+1} is zero on its C(n+k-1, n) generators."""
+    for I, top in (
+        (SmithIdeal(ZZ, [6, 10, 15, 4]), 6),
+        (SmithIdeal(F2X, [F2X.parse(g) for g in ("x^2+x", "x^3", "x^2+1")]), 2),
+    ):
+        for n in range(top + 1):
+            rel = graded_piece(I, n).module.rel
+            assert rel == Matrix.identity(I.base, len(I.power_products(n))), n
+
+
+# md5 of repr(rel.rows) of graded_piece(I, n).module, n = 0, 1, ...,
+# frozen before the closed-form coordinates replaced the SNF solve.
+FROZEN_GRADED_RELS = [
+    ((ZZ, [12, 20, 30, 8], None), [
+        "c540d446083377cd19bbd65cd2800318",
+        "c2eda921b0531c5af29a66bf1e2c0ced",
+        "772485a36c50fc654d07e2c7c9ce0c99",
+        "5dbcf5da9c82593e32bf027e182d5534",
+        "680296a4e12ec7852c8de0795dfc6960",
+        "c792b39a9d4e099eb4076d7accf1c6ad",
+    ]),
+    ((ZZ, [3, 6], 27), [
+        "30ec29213690f5ab5e33caa64d9149b9",
+        "446b261c33f077bf316dee58763d341b",
+        "cef1c408fe8c3c1958b6d6f62dcac4dd",
+        "708132f9136d27c5d18447b1c9fdd96a",
+        "0fc1e030cb6c9824cbadfdd5bc6789ce",
+    ]),
+    ((F2X, ["x^2+x", "x^3"], None), [
+        "6a15d043330e81dc8e95b1bfcec78982",
+        "5fdebb7de0e0d617a60f845ce7ae0269",
+        "db66efcbe78d21f0c9a3fdee85e3bf06",
+        "d0d4833a05acf4189398c44d486bad8a",
+    ]),
+]
+
+
+@pytest.mark.parametrize("spec,digests", FROZEN_GRADED_RELS, ids=["z2w", "z3-mod27", "f2x"])
+def test_graded_rels_frozen(spec, digests):
+    ring, gens, amb = spec
+    gens = [ring.parse(g) if isinstance(g, str) else g for g in gens]
+    I = SmithIdeal(ring, gens, ambient_modulus=amb)
+    for n, digest in enumerate(digests):
+        rel = graded_piece(I, n).module.rel
+        assert hashlib.md5(repr(rel.rows).encode()).hexdigest() == digest, n
