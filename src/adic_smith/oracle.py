@@ -8,6 +8,13 @@ arrow tuple under a size bound and reporting counts plus verbatim
 counterexamples.  Deliberately slow and simple: the value is that an
 agreement with the engine means two unrelated computations concur.
 
+Module maps are found by one depth-first search over per-generator
+image candidates (``_homs``).  It checks each relation and each scalar
+equation as soon as its generators have images and prunes only the
+branches that already fail one, so it stays exhaustive: every map is
+found, in the order of the full candidate product.  Hom counts and the
+torsion structure of Hom both come from it, for every pair of modules.
+
 Corpus rings are Z/2, Z/3, Z/4 and F_2[x]/(x^2); the integers are
 also available as a scalar domain for plain abelian-group examples.
 """
@@ -118,10 +125,12 @@ class TableModule:
         return self._orders[x]
 
     def combine(self, vec, images):
-        """sum of vec[i] * images[i]."""
+        """sum of vec[i] * images[i]; images under a zero coefficient
+        are never read."""
         y = self.zero
         for c, g in zip(vec, images):
-            y = self._add(y, self.int_mul(c, g))
+            if c:
+                y = self._add(y, self.int_mul(c, g))
         return y
 
     # -- derived presentation -----------------------------------------
@@ -343,83 +352,68 @@ def hom_candidates(M: TableModule, N: TableModule):
     return out
 
 
-def _assignment_ok(M: TableModule, N: TableModule, ys) -> bool:
+def _homs(M: TableModule, N: TableModule):
+    """Image tuples of every module map M -> N, in the order of
+    ``iproduct(*hom_candidates(M, N))``.
+
+    Depth first over the candidates: each relation of M, and each scalar
+    equation r*g_i = sum c_j g_j, is checked as soon as the last
+    generator it involves has an image, and a partial assignment that
+    fails one is not extended.  Every other branch is walked to the end.
+    """
+    cands = hom_candidates(M, N)
+    k = len(cands)
+    # eqs[d]: the equations (r, i, vec) whose last generator is d, read as
+    # r*ys[i] == combine(vec, ys), or 0 == combine(vec, ys) for r None
+    eqs = [[] for _ in range(k)]
     for v in M.rels:
-        if N.combine(v, ys) != N.zero:
-            return False
+        eqs[max(j for j, c in enumerate(v) if c)].append((None, None, v))
     if not M.ring.is_integers:
         for r in M.ring.elements:
-            for i in range(len(M.gens)):
-                if N.smul(r, ys[i]) != N.combine(M.scalar_gen_coords(r, i), ys):
-                    return False
-    return True
+            for i in range(k):
+                v = M.scalar_gen_coords(r, i)
+                eqs[max([i] + [j for j, c in enumerate(v) if c])].append((r, i, v))
+    ys = [None] * k
+
+    def walk(d):
+        if d == k:
+            yield tuple(ys)
+            return
+        for y in cands[d]:
+            ys[d] = y
+            if all(
+                N.combine(v, ys) == (N.zero if r is None else N.smul(r, ys[i]))
+                for r, i, v in eqs[d]
+            ):
+                yield from walk(d + 1)
+
+    return walk(0)
 
 
 def enumerate_homs(M: TableModule, N: TableModule):
     """All module maps M -> N as element tables (dicts)."""
-    out = []
-    for ys in iproduct(*hom_candidates(M, N)):
-        if _assignment_ok(M, N, list(ys)):
-            out.append({x: N.combine(M.coords[x], ys) for x in M.elements})
-    return out
+    return [{x: N.combine(M.coords[x], ys) for x in M.elements} for ys in _homs(M, N)]
 
 
 def hom_count(M: TableModule, N: TableModule) -> int:
-    return sum(1 for ys in iproduct(*hom_candidates(M, N)) if _assignment_ok(M, N, list(ys)))
+    return sum(1 for _ in _homs(M, N))
 
 
 def hom_torsion_structure(M: TableModule, N: TableModule):
     """(order, cyclic factor orders) of Hom(M, N) as an abelian group.
 
-    Valid when M's generators are independent (corpus modules: their
-    only relations are the generator order relations), so maps factor
-    per generator and d-torsion counts multiply.
+    The d-torsion counts are read off the enumerated maps: d kills a map
+    exactly when it kills the image of every generator.  The search is
+    the exhaustive one of ``hom_count``, so this answers for every pair.
     """
-    if any(sum(1 for c in v if c) > 1 for v in M.rels):
-        raise ValueError("torsion structure shortcut needs independent generators")
-    per_gen = []
-    for i, g in enumerate(M.gens):
-        o = M.order_of(g)
-        ok = []
-        for y in N.elements:
-            if N.int_mul(o, y) != N.zero:
-                continue
-            if not M.ring.is_integers:
-                ys = [N.zero] * len(M.gens)
-                ys[i] = y
-                good = all(
-                    N.smul(r, y) == N.combine(M.scalar_gen_coords(r, i), ys)
-                    for r in M.ring.elements
-                )
-                # scalar coords touching other generators would need the
-                # full product; corpus factors keep scalars diagonal
-                if any(
-                    M.scalar_gen_coords(r, i)[j] % M.order_of(M.gens[j])
-                    for r in M.ring.elements
-                    for j in range(len(M.gens))
-                    if j != i
-                ):
-                    raise ValueError("scalar action mixes generators")
-                if not good:
-                    continue
-            ok.append(y)
-        per_gen.append(ok)
-    total = 1
-    for c in per_gen:
-        total *= len(c)
-    exp = 1
-    counts = {}
-    for d in range(1, max((N.exponent, 1)) + 1):
-        if N.exponent % d:
-            continue
-        cnt = 1
-        for c in per_gen:
-            cnt *= sum(1 for y in c if N.int_mul(d, y) == N.zero)
-        counts[d] = cnt
-        if cnt == total:
-            exp = d
-            break
-    full = {d: counts.get(d, total) for d in range(1, exp + 1) if exp % d == 0}
+    divisors = [d for d in range(1, N.exponent + 1) if N.exponent % d == 0]
+    total, counts = 0, dict.fromkeys(divisors, 0)
+    for ys in _homs(M, N):
+        total += 1
+        for d in divisors:
+            counts[d] += all(N.int_mul(d, y) == N.zero for y in ys)
+    exp = next(d for d in divisors if counts[d] == total)
+    full = {d: counts[d] for d in divisors if exp % d == 0}
     return total, invariant_factors_from_torsion(total, full)
 
 
@@ -430,7 +424,7 @@ class TensorTable:
     """M (x)_R N as a quotient of (Z/e)^(gM*gN) by the closed relation
     subgroup, with the bilinear pairing into it."""
 
-    __slots__ = ("module", "pairing", "_M", "_N")
+    __slots__ = ("module", "pairing", "_M")
 
     def __init__(self, M: TableModule, N: TableModule):
         ring = M.ring
@@ -472,34 +466,11 @@ class TensorTable:
                         if any(v):
                             relvecs.add(v)
 
-        if e == 1 or dim == 0:
-            sub = {(0,) * dim}
-        else:
-            sub = {(0,) * dim}
-            frontier = [(0,) * dim]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for w in relvecs:
-                        y = tuple((a + b) % e for a, b in zip(x, w))
-                        if y not in sub:
-                            sub.add(y)
-                            nxt.append(y)
-                frontier = nxt
-
-        label = {}
-        reps = []
-        for x in iproduct(*[range(e)] * dim) if e > 1 else [(0,) * dim]:
-            if x in label:
-                continue
-            reps.append(x)
-            for s in sub:
-                label[tuple((a + b) % e for a, b in zip(x, s))] = x
-
-        self._M, self._N = M, N
-
         def add(x, y):
-            return label[tuple((a + b) % e for a, b in zip(x, y))]
+            return tuple((a + b) % e for a, b in zip(x, y))
+
+        label, reps = _cosets(iproduct(*[range(e)] * dim), add, (0,) * dim, relvecs)
+        self._M = M
 
         def smul(r, x):
             v = [0] * dim
@@ -509,14 +480,13 @@ class TensorTable:
                     if c:
                         for a, ca in enumerate(M.scalar_gen_coords(r, i)):
                             v[a * l + j] += c * ca
-            return label[tuple(c % e for c in v)] if e > 1 else (0,) * dim
+            return label[tuple(c % e for c in v)]
 
-        self.module = TableModule(ring, reps, add, smul)
+        self.module = TableModule(ring, reps, lambda x, y: label[add(x, y)], smul)
 
         def pairing(m, n):
             cm, cn = M.coords[m], N.coords[n]
-            v = tuple((cm[i] * cn[j]) % e for i in range(k) for j in range(l)) if e > 1 else (0,) * dim
-            return label[v] if e > 1 else (0,) * dim
+            return label[tuple((cm[i] * cn[j]) % e for i in range(k) for j in range(l))]
 
         self.pairing = pairing
 
@@ -552,27 +522,35 @@ def sub_table(M: TableModule, subset) -> TableModule:
     return TableModule(M.ring, subset, M._add, M._smul)
 
 
-def quotient_table(M: TableModule, rel_elements):
-    """(Q, projection dict) of M by the subgroup the elements generate."""
-    sub = {M.zero}
-    frontier = [M.zero]
+def _cosets(elements, add, zero, gens):
+    """(label, reps): each element's coset representative modulo the
+    subgroup ``gens`` generate, the first of its coset in ``elements``,
+    and the representatives in that order."""
+    sub = {zero}
+    frontier = [zero]
     while frontier:
         nxt = []
         for x in frontier:
-            for w in rel_elements:
-                y = M.add(x, w)
+            for w in gens:
+                y = add(x, w)
                 if y not in sub:
                     sub.add(y)
                     nxt.append(y)
         frontier = nxt
     label = {}
     reps = []
-    for x in M.elements:
+    for x in elements:
         if x in label:
             continue
         reps.append(x)
         for s in sub:
-            label[M.add(x, s)] = x
+            label[add(x, s)] = x
+    return label, reps
+
+
+def quotient_table(M: TableModule, rel_elements):
+    """(Q, projection dict) of M by the subgroup the elements generate."""
+    label, reps = _cosets(M.elements, M.add, M.zero, rel_elements)
     Q = TableModule(M.ring, reps, lambda a, b: label[M.add(a, b)], lambda r, a: label[M.smul(r, a)])
     return Q, label
 
@@ -675,31 +653,9 @@ def tensor_arrow_tables(a: TableArrow, b: TableArrow):
     """(T0, T1, arrow) for the componentwise tensor of two arrows."""
     T0 = TensorTable(a.src, b.src)
     T1 = TensorTable(a.dst, b.dst)
-    k, l = len(a.src.gens), len(b.src.gens)
-    gen_imgs = [
-        T1.pairing(a.f[a.src.gens[i]], b.f[b.src.gens[j]])
-        for i in range(k)
-        for j in range(l)
-    ]
     M1 = T1.module
-    f = {}
-    for x in T0.module.elements:
-        y = M1.zero
-        for c, img in zip(x, gen_imgs):
-            if c:
-                y = M1.add(y, M1.int_mul(c, img))
-        f[x] = y
-    return T0, T1, TableArrow(T0.module, M1, f)
-
-
-def pair_combine(dst: TableModule, vec, l: int, img_of_pair):
-    """Sum of vec[(i,j)] * img_of_pair(i, j) in dst, indices flattened."""
-    y = dst.zero
-    for idx, c in enumerate(vec):
-        if c:
-            i, j = divmod(idx, l)
-            y = dst.add(y, dst.int_mul(c, img_of_pair(i, j)))
-    return y
+    imgs = [T1.pairing(a.f[g], b.f[h]) for g, h in iproduct(a.src.gens, b.src.gens)]
+    return T0, T1, TableArrow(T0.module, M1, {x: M1.combine(x, imgs) for x in T0.module.elements})
 
 
 class BoxTables:
@@ -731,43 +687,23 @@ class BoxTables:
 
         self.inc1, self.inc2 = inc1, inc2
 
-        left = {}
-        for u in M01.elements:
-            y = M11.zero
-            l = len(b.dst.gens)
-            for idx, c in enumerate(u):
-                if c:
-                    i, j = divmod(idx, l)
-                    y = M11.add(y, M11.int_mul(c, self.T11.pairing(a.f[a.src.gens[i]], b.dst.gens[j])))
-            left[u] = y
-        right = {}
-        for v in M10.elements:
-            y = M11.zero
-            l = len(b.src.gens)
-            for idx, c in enumerate(v):
-                if c:
-                    i, j = divmod(idx, l)
-                    y = M11.add(y, M11.int_mul(c, self.T11.pairing(a.dst.gens[i], b.f[b.src.gens[j]])))
-            right[v] = y
-        f = {p: M11.add(left[p[0]], right[p[1]]) for p in P.elements}
+        left = [self.T11.pairing(a.f[g], h) for g, h in iproduct(a.src.gens, b.dst.gens)]
+        right = [self.T11.pairing(g, b.f[h]) for g, h in iproduct(a.dst.gens, b.src.gens)]
+        f = {p: M11.add(M11.combine(p[0], left), M11.combine(p[1], right)) for p in P.elements}
         self.arrow = TableArrow(P, M11, f)
 
 
-def _is_linear_map(src: TableModule, dst: TableModule, f: dict) -> bool:
-    for x in src.elements:
-        for y in src.elements:
-            if f[src.add(x, y)] != dst.add(f[x], f[y]):
-                return False
-    if not src.ring.is_integers:
-        for r in src.ring.elements:
-            for x in src.elements:
-                if f[src.smul(r, x)] != dst.smul(r, f[x]):
-                    return False
-    return True
-
-
-def _is_bijection(src: TableModule, dst: TableModule, f: dict) -> bool:
-    return len(src) == len(dst) and len(set(f.values())) == len(src)
+def _is_iso(src: TableModule, dst: TableModule, f: dict) -> bool:
+    """f is a bijective module map src -> dst."""
+    return (
+        len(src) == len(dst)
+        and len(set(f.values())) == len(src)
+        and all(f[src.add(x, y)] == dst.add(f[x], f[y]) for x in src.elements for y in src.elements)
+        and (
+            src.ring.is_integers
+            or all(f[src.smul(r, x)] == dst.smul(r, f[x]) for r in src.ring.elements for x in src.elements)
+        )
+    )
 
 
 # -- canonical comparison maps ---------------------------------------
@@ -777,36 +713,19 @@ def _assoc_map(TL_outer: TensorTable, A: TableModule, B: TableModule, C: TableMo
                TR_inner: TensorTable, TR_outer: TensorTable) -> dict:
     """((A x B) x C) -> (A x (B x C)) on pure generators, extended."""
     Rm = TR_outer.module
-    lB, lC = len(B.gens), len(C.gens)
-    f = {}
-    for x in TL_outer.module.elements:
-        y = Rm.zero
-        for idx, coeff in enumerate(x):
-            if not coeff:
-                continue
-            ui, wj = divmod(idx, lC)
-            u = TL_outer._M.gens[ui]
-            w = C.gens[wj]
-            img = Rm.zero
-            for idx2, c2 in enumerate(u):
-                if not c2:
-                    continue
-                i, j = divmod(idx2, lB)
-                img = Rm.add(img, Rm.int_mul(c2, TR_outer.pairing(A.gens[i], TR_inner.pairing(B.gens[j], w))))
-            y = Rm.add(y, Rm.int_mul(coeff, img))
-        f[x] = y
-    return f
+    imgs = [
+        Rm.combine(u, [TR_outer.pairing(g, TR_inner.pairing(h, w)) for g, h in iproduct(A.gens, B.gens)])
+        for u, w in iproduct(TL_outer._M.gens, C.gens)
+    ]
+    return {x: Rm.combine(x, imgs) for x in TL_outer.module.elements}
 
 
 def _swap_map(Tab: TensorTable, A: TableModule, B: TableModule, Tba: TensorTable) -> dict:
-    lB = len(B.gens)
-    return {
-        x: pair_combine(Tba.module, x, lB, lambda i, j: Tba.pairing(B.gens[j], A.gens[i]))
-        for x in Tab.module.elements
-    }
+    imgs = [Tba.pairing(h, g) for g, h in iproduct(A.gens, B.gens)]
+    return {x: Tba.module.combine(x, imgs) for x in Tab.module.elements}
 
 
-def _square_ok(src0, dst0, chi0, f_left, f_right, chi1) -> bool:
+def _square_ok(src0, chi0, f_left, f_right, chi1) -> bool:
     return all(chi1[f_left[x]] == f_right[chi0[x]] for x in src0.elements)
 
 
@@ -816,165 +735,6 @@ def _describe_arrow(a: TableArrow):
         "dst_factors": a.dst.invariant_factor_orders(),
         "map": str(sorted(a.f.items(), key=lambda t: _ekey(t[0]))),
     }
-
-
-# -- law checks ------------------------------------------------------
-
-
-def _law_tensor_symmetry(pairs):
-    fails = []
-    for a, b in pairs:
-        T0ab, T1ab, tab = tensor_arrow_tables(a, b)
-        T0ba, T1ba, tba = tensor_arrow_tables(b, a)
-        s0 = _swap_map(T0ab, a.src, b.src, T0ba)
-        s1 = _swap_map(T1ab, a.dst, b.dst, T1ba)
-        ok = (
-            _is_linear_map(T0ab.module, T0ba.module, s0)
-            and _is_bijection(T0ab.module, T0ba.module, s0)
-            and _is_linear_map(T1ab.module, T1ba.module, s1)
-            and _is_bijection(T1ab.module, T1ba.module, s1)
-            and _square_ok(T0ab.module, None, s0, tab.f, tba.f, s1)
-        )
-        if not ok:
-            fails.append({"law": "tensor_symmetry", "a": _describe_arrow(a), "b": _describe_arrow(b)})
-    return fails
-
-
-def _law_tensor_assoc(triples):
-    fails = []
-    for a, b, c in triples:
-        T0ab, T1ab, ab = tensor_arrow_tables(a, b)
-        L0, L1, left = tensor_arrow_tables(ab, c)
-        T0bc, T1bc, bc = tensor_arrow_tables(b, c)
-        R0, R1, right = tensor_arrow_tables(a, bc)
-        chi0 = _assoc_map(L0, a.src, b.src, c.src, T0bc, R0)
-        chi1 = _assoc_map(L1, a.dst, b.dst, c.dst, T1bc, R1)
-        ok = (
-            _is_linear_map(L0.module, R0.module, chi0)
-            and _is_bijection(L0.module, R0.module, chi0)
-            and _is_linear_map(L1.module, R1.module, chi1)
-            and _is_bijection(L1.module, R1.module, chi1)
-            and _square_ok(L0.module, None, chi0, left.f, right.f, chi1)
-        )
-        if not ok:
-            fails.append({"law": "tensor_assoc", "a": _describe_arrow(a), "b": _describe_arrow(b), "c": _describe_arrow(c)})
-    return fails
-
-
-def _law_box_symmetry(pairs):
-    fails = []
-    for a, b in pairs:
-        bab = BoxTables(a, b)
-        bba = BoxTables(b, a)
-        swap_u = _swap_map(bab.T01, a.src, b.dst, bba.T10)
-        swap_v = _swap_map(bab.T10, a.dst, b.src, bba.T01)
-        sP = {p: bba.label[(swap_v[p[1]], swap_u[p[0]])] for p in bab.P.elements}
-        s11 = _swap_map(bab.T11, a.dst, b.dst, bba.T11)
-        ok = (
-            _is_linear_map(bab.P, bba.P, sP)
-            and _is_bijection(bab.P, bba.P, sP)
-            and _square_ok(bab.P, None, sP, bab.arrow.f, bba.arrow.f, s11)
-        )
-        if not ok:
-            fails.append({"law": "box_symmetry", "a": _describe_arrow(a), "b": _describe_arrow(b)})
-    return fails
-
-
-def _law_box_assoc(triples):
-    fails = []
-    for a, b, c in triples:
-        AB = BoxTables(a, b)
-        L = BoxTables(AB.arrow, c)
-        BC = BoxTables(b, c)
-        R = BoxTables(a, BC.arrow)
-        lz1 = len(c.dst.gens)
-        lz0 = len(c.src.gens)
-        lb1 = len(b.dst.gens)
-        lb0 = len(b.src.gens)
-
-        def chi_pure_block1(pgen, z):
-            u, v = pgen
-            y = R.P.zero
-            for idx, cc in enumerate(u):
-                if cc:
-                    i, j = divmod(idx, lb1)
-                    w = R.inc1(R.T01.pairing(a.src.gens[i], BC.T11.pairing(b.dst.gens[j], z)))
-                    y = R.P.add(y, R.P.int_mul(cc, w))
-            for idx, cc in enumerate(v):
-                if cc:
-                    i, j = divmod(idx, lb0)
-                    w = R.inc2(R.T10.pairing(a.dst.gens[i], BC.inc1(BC.T01.pairing(b.src.gens[j], z))))
-                    y = R.P.add(y, R.P.int_mul(cc, w))
-            return y
-
-        def chi_pure_block2(u11, z0):
-            y = R.P.zero
-            for idx, cc in enumerate(u11):
-                if cc:
-                    i, j = divmod(idx, lb1)
-                    w = R.inc2(R.T10.pairing(a.dst.gens[i], BC.inc2(BC.T10.pairing(b.dst.gens[j], z0))))
-                    y = R.P.add(y, R.P.int_mul(cc, w))
-            return y
-
-        chi = {}
-        for p in L.P.elements:
-            t1, t2 = p
-            y = R.P.zero
-            for idx, cc in enumerate(t1):
-                if cc:
-                    pi, zj = divmod(idx, lz1)
-                    y = R.P.add(y, R.P.int_mul(cc, chi_pure_block1(AB.P.gens[pi], c.dst.gens[zj])))
-            for idx, cc in enumerate(t2):
-                if cc:
-                    ui, zk = divmod(idx, lz0)
-                    y = R.P.add(y, R.P.int_mul(cc, chi_pure_block2(AB.T11.module.gens[ui], c.src.gens[zk])))
-            chi[p] = y
-        kappa = _assoc_map(L.T11, a.dst, b.dst, c.dst, BC.T11, R.T11)
-        ok = (
-            _is_linear_map(L.P, R.P, chi)
-            and _is_bijection(L.P, R.P, chi)
-            and _is_linear_map(L.T11.module, R.T11.module, kappa)
-            and _is_bijection(L.T11.module, R.T11.module, kappa)
-            and _square_ok(L.P, None, chi, L.arrow.f, R.arrow.f, kappa)
-        )
-        if not ok:
-            fails.append({"law": "box_assoc", "a": _describe_arrow(a), "b": _describe_arrow(b), "c": _describe_arrow(c)})
-    return fails
-
-
-def _law_cok_monoidal(pairs):
-    fails = []
-    for a, b in pairs:
-        box = BoxTables(a, b)
-        C, _ = cokernel_table(box.arrow)
-        ca = cok_arrow(a)
-        cb = cok_arrow(b)
-        Tcc = TensorTable(ca.dst, cb.dst)
-        l = len(b.dst.gens)
-        psi = {
-            y: pair_combine(Tcc.module, y, l, lambda i, j: Tcc.pairing(ca.f[a.dst.gens[i]], cb.f[b.dst.gens[j]]))
-            for y in C.elements
-        }
-        ok = _is_linear_map(C, Tcc.module, psi) and _is_bijection(C, Tcc.module, psi)
-        if not ok:
-            fails.append({"law": "cok_monoidal", "a": _describe_arrow(a), "b": _describe_arrow(b)})
-    return fails
-
-
-def _law_ker_lax(pairs):
-    fails = []
-    for a, b in pairs:
-        ka = ker_arrow(a)
-        kb = ker_arrow(b)
-        bk = BoxTables(ka, kb)
-        T0, _, tab = tensor_arrow_tables(a, b)
-        if bk.T11.module.elements != T0.module.elements:
-            raise AssertionError("tensor table construction is not deterministic")
-        K = {z for z in T0.module.elements if tab.f[z] == tab.dst.zero}
-        ok = all(bk.arrow.f[p] in K for p in bk.P.elements)
-        if not ok:
-            fails.append({"law": "ker_lax", "a": _describe_arrow(a), "b": _describe_arrow(b)})
-    return fails
 
 
 def _eta_square(a: TableArrow) -> ArrowSquare:
@@ -1008,69 +768,134 @@ def ker_square(phi: ArrowSquare) -> ArrowSquare:
     return ArrowSquare(ks, kt, top, phi.top)
 
 
-def _law_triangles(singles):
-    fails = []
-    for a in singles:
-        eta = _eta_square(a)
-        ca = cok_arrow(a)
-        tri1 = _eps_square(ca).compose(cok_square(eta))
-        kb = ker_arrow(a)
-        tri2 = ker_square(_eps_square(a)).compose(_eta_square(kb))
-        ok = (
-            eta.commutes()
-            and tri1.commutes()
-            and tri1.is_identity()
-            and tri2.commutes()
-            and tri2.is_identity()
-        )
-        if not ok:
-            fails.append({"law": "triangle_identities", "a": _describe_arrow(a)})
-    return fails
+# -- laws: each a predicate on one tuple -----------------------------
 
 
-def _law_embed_adjunctions(corpus, pool, pair_bound):
-    Z = zero_table_module(corpus.ring)
-    fails = []
-    tuples = 0
-    for M in corpus.modules:
-        for x in pool:
-            if len(M) * x.order() > pair_bound:
-                continue
-            tuples += 1
-            L0M = TableArrow(M, M, identity_map(M))
-            L1M = TableArrow(Z, M, {Z.zero: M.zero})
-            U0M = TableArrow(M, Z, {m: Z.zero for m in M.elements})
-            U1M = TableArrow(M, M, identity_map(M))
-            ok = (
-                count_arrow_squares(L0M, x) == hom_count(M, x.src)
-                and count_arrow_squares(L1M, x) == hom_count(M, x.dst)
-                and count_arrow_squares(x, U0M) == hom_count(x.src, M)
-                and count_arrow_squares(x, U1M) == hom_count(x.dst, M)
-            )
-            if not ok:
-                fails.append({"law": "embed_adjunctions", "module_factors": M.invariant_factor_orders(), "x": _describe_arrow(x)})
-    return tuples, fails
+def _tensor_symmetry(a, b):
+    T0ab, T1ab, tab = tensor_arrow_tables(a, b)
+    T0ba, T1ba, tba = tensor_arrow_tables(b, a)
+    s0 = _swap_map(T0ab, a.src, b.src, T0ba)
+    s1 = _swap_map(T1ab, a.dst, b.dst, T1ba)
+    return (
+        _is_iso(T0ab.module, T0ba.module, s0)
+        and _is_iso(T1ab.module, T1ba.module, s1)
+        and _square_ok(T0ab.module, s0, tab.f, tba.f, s1)
+    )
 
 
-def _law_cok_ker_adjunction(pairs):
-    fails = []
-    for a, b in pairs:
-        if count_arrow_squares(cok_arrow(a), b) != count_arrow_squares(a, ker_arrow(b)):
-            fails.append({"law": "cok_ker_adjunction", "a": _describe_arrow(a), "b": _describe_arrow(b)})
-    return fails
+def _tensor_assoc(a, b, c):
+    T0ab, T1ab, ab = tensor_arrow_tables(a, b)
+    L0, L1, left = tensor_arrow_tables(ab, c)
+    T0bc, T1bc, bc = tensor_arrow_tables(b, c)
+    R0, R1, right = tensor_arrow_tables(a, bc)
+    chi0 = _assoc_map(L0, a.src, b.src, c.src, T0bc, R0)
+    chi1 = _assoc_map(L1, a.dst, b.dst, c.dst, T1bc, R1)
+    return (
+        _is_iso(L0.module, R0.module, chi0)
+        and _is_iso(L1.module, R1.module, chi1)
+        and _square_ok(L0.module, chi0, left.f, right.f, chi1)
+    )
 
 
-LAW_NAMES = (
-    "tensor_symmetry",
-    "tensor_assoc",
-    "box_symmetry",
-    "box_assoc",
-    "cok_monoidal",
-    "ker_lax",
-    "triangle_identities",
-    "embed_adjunctions",
-    "cok_ker_adjunction",
-)
+def _box_symmetry(a, b):
+    bab = BoxTables(a, b)
+    bba = BoxTables(b, a)
+    swap_u = _swap_map(bab.T01, a.src, b.dst, bba.T10)
+    swap_v = _swap_map(bab.T10, a.dst, b.src, bba.T01)
+    sP = {p: bba.label[(swap_v[p[1]], swap_u[p[0]])] for p in bab.P.elements}
+    s11 = _swap_map(bab.T11, a.dst, b.dst, bba.T11)
+    return _is_iso(bab.P, bba.P, sP) and _square_ok(bab.P, sP, bab.arrow.f, bba.arrow.f, s11)
+
+
+def _box_assoc(a, b, c):
+    AB = BoxTables(a, b)
+    L = BoxTables(AB.arrow, c)
+    BC = BoxTables(b, c)
+    R = BoxTables(a, BC.arrow)
+    P = R.P
+
+    def block1(pgen, z):
+        u, v = pgen
+        us = [R.inc1(R.T01.pairing(g, BC.T11.pairing(h, z))) for g, h in iproduct(a.src.gens, b.dst.gens)]
+        vs = [R.inc2(R.T10.pairing(g, BC.inc1(BC.T01.pairing(h, z)))) for g, h in iproduct(a.dst.gens, b.src.gens)]
+        return P.add(P.combine(u, us), P.combine(v, vs))
+
+    def block2(u11, z0):
+        ws = [R.inc2(R.T10.pairing(g, BC.inc2(BC.T10.pairing(h, z0)))) for g, h in iproduct(a.dst.gens, b.dst.gens)]
+        return P.combine(u11, ws)
+
+    imgs1 = [block1(p, z) for p, z in iproduct(AB.P.gens, c.dst.gens)]
+    imgs2 = [block2(u, z) for u, z in iproduct(AB.T11.module.gens, c.src.gens)]
+    chi = {p: P.add(P.combine(p[0], imgs1), P.combine(p[1], imgs2)) for p in L.P.elements}
+    kappa = _assoc_map(L.T11, a.dst, b.dst, c.dst, BC.T11, R.T11)
+    return (
+        _is_iso(L.P, R.P, chi)
+        and _is_iso(L.T11.module, R.T11.module, kappa)
+        and _square_ok(L.P, chi, L.arrow.f, R.arrow.f, kappa)
+    )
+
+
+def _cok_monoidal(a, b):
+    C, _ = cokernel_table(BoxTables(a, b).arrow)
+    ca, cb = cok_arrow(a), cok_arrow(b)
+    Tcc = TensorTable(ca.dst, cb.dst)
+    imgs = [Tcc.pairing(ca.f[g], cb.f[h]) for g, h in iproduct(a.dst.gens, b.dst.gens)]
+    return _is_iso(C, Tcc.module, {y: Tcc.module.combine(y, imgs) for y in C.elements})
+
+
+def _ker_lax(a, b):
+    bk = BoxTables(ker_arrow(a), ker_arrow(b))
+    T0, _, tab = tensor_arrow_tables(a, b)
+    if bk.T11.module.elements != T0.module.elements:
+        raise AssertionError("tensor table construction is not deterministic")
+    K = {z for z in T0.module.elements if tab.f[z] == tab.dst.zero}
+    return all(bk.arrow.f[p] in K for p in bk.P.elements)
+
+
+def _triangle_identities(a):
+    eta = _eta_square(a)
+    tri1 = _eps_square(cok_arrow(a)).compose(cok_square(eta))
+    tri2 = ker_square(_eps_square(a)).compose(_eta_square(ker_arrow(a)))
+    return eta.commutes() and tri1.commutes() and tri1.is_identity() and tri2.commutes() and tri2.is_identity()
+
+
+def _embed_adjunctions(M, x):
+    Z = zero_table_module(M.ring)
+    idM = TableArrow(M, M, identity_map(M))
+    L1M = TableArrow(Z, M, {Z.zero: M.zero})
+    U0M = TableArrow(M, Z, {m: Z.zero for m in M.elements})
+    return (
+        count_arrow_squares(idM, x) == hom_count(M, x.src)
+        and count_arrow_squares(L1M, x) == hom_count(M, x.dst)
+        and count_arrow_squares(x, U0M) == hom_count(x.src, M)
+        and count_arrow_squares(x, idM) == hom_count(x.dst, M)
+    )
+
+
+def _cok_ker_adjunction(a, b):
+    return count_arrow_squares(cok_arrow(a), b) == count_arrow_squares(a, ker_arrow(b))
+
+
+# name -> (predicate, the kind of tuple it runs over)
+_LAWS = {
+    "tensor_symmetry": (_tensor_symmetry, "pairs"),
+    "tensor_assoc": (_tensor_assoc, "triples"),
+    "box_symmetry": (_box_symmetry, "pairs"),
+    "box_assoc": (_box_assoc, "triples"),
+    "cok_monoidal": (_cok_monoidal, "pairs"),
+    "ker_lax": (_ker_lax, "pairs"),
+    "triangle_identities": (_triangle_identities, "singles"),
+    "embed_adjunctions": (_embed_adjunctions, "module_arrows"),
+    "cok_ker_adjunction": (_cok_ker_adjunction, "pairs"),
+}
+LAW_NAMES = tuple(_LAWS)
+
+
+def _failure(law, t):
+    if isinstance(t[0], TableModule):
+        M, x = t
+        return {"law": law, "module_factors": M.invariant_factor_orders(), "x": _describe_arrow(x)}
+    return {"law": law, **{k: _describe_arrow(a) for k, a in zip("abc", t)}}
 
 
 def check_monoidal_laws(corpus: FiniteCorpus, laws="all", pair_bound=16, triple_bound=8):
@@ -1083,22 +908,27 @@ def check_monoidal_laws(corpus: FiniteCorpus, laws="all", pair_bound=16, triple_
         raise ValueError(f"unknown laws: {bad}")
     pool = all_table_arrows(corpus, pair_bound)
     orders = [a.order() for a in pool]
-    pairs = [
-        (a, b)
-        for a, oa in zip(pool, orders)
-        for b, ob in zip(pool, orders)
-        if oa * ob <= pair_bound
-    ]
-    # Orders are >= 1, so a partial product above the bound stays above it.
-    triples = [
-        (a, b, c)
-        for a, oa in zip(pool, orders)
-        for b, ob in zip(pool, orders)
-        if oa * ob <= triple_bound
-        for c, oc in zip(pool, orders)
-        if oa * ob * oc <= triple_bound
-    ]
-    singles = [a for a in pool]
+    tuples = {
+        "singles": [(a,) for a in pool],
+        "pairs": [
+            (a, b)
+            for a, oa in zip(pool, orders)
+            for b, ob in zip(pool, orders)
+            if oa * ob <= pair_bound
+        ],
+        # Orders are >= 1, so a partial product above the bound stays above it.
+        "triples": [
+            (a, b, c)
+            for a, oa in zip(pool, orders)
+            for b, ob in zip(pool, orders)
+            if oa * ob <= triple_bound
+            for c, oc in zip(pool, orders)
+            if oa * ob * oc <= triple_bound
+        ],
+        "module_arrows": [
+            (M, x) for M in corpus.modules for x, ox in zip(pool, orders) if len(M) * ox <= pair_bound
+        ],
+    }
     report = {
         "ring": corpus.ring_name,
         "corpus_max_order": corpus.max_order,
@@ -1108,25 +938,9 @@ def check_monoidal_laws(corpus: FiniteCorpus, laws="all", pair_bound=16, triple_
         "laws": {},
     }
     for law in selected:
-        if law == "tensor_symmetry":
-            n, fails = len(pairs), _law_tensor_symmetry(pairs)
-        elif law == "tensor_assoc":
-            n, fails = len(triples), _law_tensor_assoc(triples)
-        elif law == "box_symmetry":
-            n, fails = len(pairs), _law_box_symmetry(pairs)
-        elif law == "box_assoc":
-            n, fails = len(triples), _law_box_assoc(triples)
-        elif law == "cok_monoidal":
-            n, fails = len(pairs), _law_cok_monoidal(pairs)
-        elif law == "ker_lax":
-            n, fails = len(pairs), _law_ker_lax(pairs)
-        elif law == "triangle_identities":
-            n, fails = len(singles), _law_triangles(singles)
-        elif law == "embed_adjunctions":
-            n, fails = _law_embed_adjunctions(corpus, pool, pair_bound)
-        else:
-            n, fails = len(pairs), _law_cok_ker_adjunction(pairs)
-        report["laws"][law] = {"tuples": n, "failures": fails}
+        check, kind = _LAWS[law]
+        fails = [_failure(law, t) for t in tuples[kind] if not check(*t)]
+        report["laws"][law] = {"tuples": len(tuples[kind]), "failures": fails}
     report["all_pass"] = all(not v["failures"] for v in report["laws"].values())
     return report
 

@@ -73,7 +73,7 @@ class SmithIdeal:
     is already an ideal (g_i g_j is g_i times the generator g_j).
     """
 
-    __slots__ = ("algebra", "base", "modulus", "ambient", "gens", "gen_mat", "I", "incl", "_powers", "_mus")
+    __slots__ = ("algebra", "base", "modulus", "ambient", "gens", "gen_mat", "I", "incl")
 
     def __init__(self, algebra: Ring, gens, ambient_modulus=None):
         base, modulus = algebra_split(algebra)
@@ -87,8 +87,6 @@ class SmithIdeal:
         self.gens = tuple(gens)
         self.gen_mat = Matrix(base, [list(gens)], shape=(1, len(gens)))
         self.I, self.incl = submodule(ambient, self.gen_mat)
-        self._powers = {}
-        self._mus = {}
         if not self.incl.is_injective():
             raise ValueError("ideal inclusion is not mono")
 
@@ -140,11 +138,8 @@ class SmithIdeal:
 
     def power(self, n: int):
         """(I^n as a submodule of the ambient, inclusion)."""
-        if n not in self._powers:
-            prods = self.power_products(n)
-            G = Matrix(self.base, [prods], shape=(1, len(prods)))
-            self._powers[n] = submodule(self.ambient, G)
-        return self._powers[n]
+        prods = self.power_products(n)
+        return submodule(self.ambient, Matrix(self.base, [prods], shape=(1, len(prods))))
 
     def tensor_power_of_ideal(self, n: int) -> FPModule:
         T = self.I
@@ -156,16 +151,13 @@ class SmithIdeal:
         """Multiplication I^(tensor n) -> I on generator products."""
         if n < 1:
             raise ValueError("mu needs n >= 1")
-        if n not in self._mus:
-            k = len(self.gens)
-            X = self.product_coords(1, n)
-            col = {c: j for j, c in enumerate(combinations_with_replacement(range(k), n))}
-            # Tensor generator (t_1, ..., t_n) sits at flat index
-            # sum t_i k^(n-i), the order of itertools.product.
-            cols = [X.col(col[tuple(sorted(t))]) for t in product(range(k), repeat=n)]
-            mat = Matrix.from_cols(self.base, cols, k)
-            self._mus[n] = FPMap(self.tensor_power_of_ideal(n), self.I, mat)
-        return self._mus[n]
+        k = len(self.gens)
+        X = self.product_coords(1, n)
+        col = {c: j for j, c in enumerate(combinations_with_replacement(range(k), n))}
+        # Tensor generator (t_1, ..., t_n) sits at flat index
+        # sum t_i k^(n-i), the order of itertools.product.
+        cols = [X.col(col[tuple(sorted(t))]) for t in product(range(k), repeat=n)]
+        return FPMap(self.tensor_power_of_ideal(n), self.I, Matrix.from_cols(self.base, cols, k))
 
     def is_nilpotent(self, n: int) -> bool:
         """Literal degree-n predicate: mu_n is onto (its cokernel is 0)."""

@@ -5,14 +5,19 @@ two computations that share no code: closed-form gcd counts, hand-built
 subgroup tables, and engine modules presented by diagonal relations.
 """
 
+import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
+from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
 
 import adic_smith
+from adic_smith import oracle
 from conftest import SMALL_RINGS, ZZ, poly_from_coeffs
 from adic_smith.fpmod import FPModule, HomModule, tensor
 from adic_smith.oracle import (
@@ -29,8 +34,11 @@ from adic_smith.oracle import (
     count_arrow_squares,
     cyclic_table_module,
     direct_sum_table,
+    enumerate_homs,
+    hom_candidates,
     hom_colimit_check,
     hom_count,
+    hom_torsion_structure,
     ker_arrow,
     kernel_table,
     quotient_table,
@@ -156,6 +164,57 @@ def test_hom_count_matches_gcd(a, b, g):
     assert hom_count(cyclic_table_module(Z, a), cyclic_table_module(Z, b)) == g
 
 
+# -- the hom search against the literal reference ---------------------
+
+
+def _reference_homs(M, N):
+    """Every candidate assignment, with each relation and each scalar
+    equation checked on the full assignment."""
+    out = []
+    for ys in iproduct(*hom_candidates(M, N)):
+        ok = all(N.combine(v, ys) == N.zero for v in M.rels)
+        if not M.ring.is_integers:
+            ok = ok and all(
+                N.smul(r, ys[i]) == N.combine(M.scalar_gen_coords(r, i), ys)
+                for r in M.ring.elements
+                for i in range(len(M.gens))
+            )
+        if ok:
+            out.append({x: N.combine(M.coords[x], ys) for x in M.elements})
+    return out
+
+
+# corpus pairs whose candidate product is at most 1024, per ring
+HOM_REFERENCE_PAIRS = {"z2": 22, "z3": 9, "z4": 76, "f2x": 60}
+
+
+@pytest.mark.parametrize("ring", sorted(HOM_REFERENCE_PAIRS))
+def test_hom_search_matches_literal_reference(ring):
+    c = FiniteCorpus(ring, 16)
+    checked = []
+    for la, M in zip(c.labels, c.modules):
+        for lb, N in zip(c.labels, c.modules):
+            if math.prod(len(p) for p in hom_candidates(M, N)) > 1024:
+                continue
+            ref = _reference_homs(M, N)
+            assert enumerate_homs(M, N) == ref, (la, lb)
+            assert hom_count(M, N) == len(ref), (la, lb)
+            checked.append((la, lb))
+    assert len(checked) == HOM_REFERENCE_PAIRS[ring]
+    if ring == "f2x":
+        # R's table generators are x and 1, and x * 1 = x, so the scalar
+        # equations of R -> R+R mix generators.
+        assert ("R", "R+R") in checked
+
+
+def test_hom_torsion_structure_with_mixed_scalars():
+    c = FiniteCorpus("f2x", 16)
+    R, RR = (c.modules[c.labels.index(lab)] for lab in ("R", "R+R"))
+    # Hom(R, R+R) = R+R and Hom(R+R, R) = R+R, additively (Z/2)^4.
+    assert hom_torsion_structure(R, RR) == (16, [2, 2, 2, 2])
+    assert hom_torsion_structure(RR, R) == (16, [2, 2, 2, 2])
+
+
 # -- agreement with the matrix engine ---------------------------------
 
 
@@ -248,6 +307,30 @@ def test_law_sweep_small_corpus():
         "cok_ker_adjunction": 49,
     }
     assert all(v["failures"] == [] for v in rep["laws"].values())
+
+
+def test_law_failures_reported_verbatim(monkeypatch):
+    # Force every square check and every square count to fail; the laws
+    # built on them then report each tuple, pairs, triples and the
+    # (module, arrow) tuples of embed_adjunctions alike.
+    monkeypatch.setattr(oracle, "_square_ok", lambda *a: False)
+    monkeypatch.setattr(oracle, "count_arrow_squares", lambda a, b: -1)
+    rep = check_monoidal_laws(FiniteCorpus("z2", 4), pair_bound=8, triple_bound=8)
+    assert rep["all_pass"] is False
+    assert {k: len(v["failures"]) for k, v in rep["laws"].items()} == {
+        "tensor_symmetry": 49,
+        "tensor_assoc": 111,
+        "box_symmetry": 49,
+        "box_assoc": 111,
+        "cok_monoidal": 0,
+        "ker_lax": 0,
+        "triangle_identities": 0,
+        "embed_adjunctions": 25,
+        "cok_ker_adjunction": 0,
+    }
+    assert list(rep["laws"]["box_assoc"]["failures"][0]) == ["law", "a", "b", "c"]
+    assert list(rep["laws"]["embed_adjunctions"]["failures"][0]) == ["law", "module_factors", "x"]
+    assert hashlib.md5(json.dumps(rep).encode()).hexdigest() == "81639205cc24ea8382a916b032f23677"
 
 
 def test_law_subset_and_unknown_name():

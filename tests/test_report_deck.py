@@ -5,7 +5,9 @@ The md5 of stdout + stderr and the exit code of every run are frozen;
 they were captured before generator-product coordinates moved from an
 SNF solve to their closed form, so any change to a report, a
 certificate, an error line or an exit code shows up here by name.
-Rings: Z, F_2[x], Q[x], Z/72 and F_3[x]/(x^4).
+Rings: Z, F_2[x], Q[x], Z/72 and F_3[x]/(x^4).  The ``verify-laws`` runs
+need no document; they were captured before the oracle's hom search
+became depth first and its law checks shared one loop.
 """
 
 import contextlib
@@ -129,6 +131,12 @@ DECK = [
     ("yekutieli-level0", ["yekutieli", "--input", "@", "--ideal", "z2", "--levels", "0"]),
     ("graded-no-ideal", ["graded", "--input", "@", "--ideal", "nope", "--levels", "2"]),
     ("adic-no-module", ["adic-module", "--input", "@", "--ideal", "z2", "--levels", "2"]),
+    ("verify-laws-z2", ["verify-laws", "--ring", "z2"]),
+    ("verify-laws-z3-table", ["verify-laws", "--ring", "z3", "--format", "table"]),
+    ("verify-laws-z4", ["verify-laws", "--ring", "z4"]),
+    ("verify-laws-f2x", ["verify-laws", "--ring", "f2x"]),
+    ("verify-laws-z4-subset", ["verify-laws", "--ring", "z4", "--laws", "box_assoc,embed_adjunctions"]),
+    ("verify-laws-unknown", ["verify-laws", "--ring", "z4", "--laws", "nope"]),
 ]
 
 # id -> (exit code, md5 of stdout + stderr)
@@ -194,6 +202,12 @@ FROZEN = {
     'yekutieli-level0': (2, '9386d8f07a51106347f8e58670a93aa6'),
     'graded-no-ideal': (2, '51f1ee28177ac2d12b8c9565d7a3d221'),
     'adic-no-module': (2, '2e344cb3d3bffada506b459aba898a8e'),
+    'verify-laws-z2': (0, '482dcc3e67ff8588af03b3a11848d839'),
+    'verify-laws-z3-table': (0, '153db0bf649baefcdf155bde06fc7bce'),
+    'verify-laws-z4': (0, '55dd590fd298b521c6df0639555b308d'),
+    'verify-laws-f2x': (0, 'b1529e0948f6784d1b6d10e34c1f86ab'),
+    'verify-laws-z4-subset': (0, '772b8448047e654ef33f2c2aa14a4fda'),
+    'verify-laws-unknown': (2, '5cca72557d94519d5436a62cc46c9e6d'),
 }
 
 
