@@ -15,21 +15,48 @@ branches that already fail one, so it stays exhaustive: every map is
 found, in the order of the full candidate product.  Hom counts and the
 torsion structure of Hom both come from it, for every pair of modules.
 
+A table's presentation comes from one walk per generator: generators are
+taken greedily in element order, each new one adds the cosets of the span
+before it, and it contributes one relation, so the relations form a
+triangular basis of the relation lattice.  A law audit builds the tables
+that depend on corpus modules and pool arrows alone (their tensor tables,
+hom lists, kernel and cokernel arrows) once per ``check_monoidal_laws``
+call and drops them when it returns; tables of derived modules are built
+per tuple, and ``tensor_by_elements`` always builds a fresh table.
+
 Corpus rings are Z/2, Z/3, Z/4 and F_2[x]/(x^2); the integers are
 also available as a scalar domain for plain abelian-group examples.
 """
 
 from __future__ import annotations
 
+import functools
+from contextvars import ContextVar
 from itertools import product as iproduct
 
 MAX_ORDER = 64
 
+# Set by ``check_monoidal_laws`` for the length of one call, None outside:
+# (its corpus modules and pool arrows, the tables built from them alone).
+_audit = ContextVar("audit", default=None)
 
-def _ekey(x):
-    if isinstance(x, int):
-        return (0, x)
-    return (1, tuple(_ekey(c) for c in x))
+
+def _shared_in_audit(build):
+    """``build``, except that inside a law audit a call whose arguments
+    are all corpus modules or pool arrows is built once for the call."""
+
+    @functools.wraps(build)
+    def call(*args):
+        audit = _audit.get()
+        if audit is None or not audit[0].issuperset(args):
+            return build(*args)
+        memo = audit[1]
+        key = (build, *args)
+        if key not in memo:
+            memo[key] = build(*args)
+        return memo[key]
+
+    return call
 
 
 class TableRing:
@@ -81,7 +108,7 @@ def corpus_ring(name: str) -> TableRing:
 class TableModule:
     """Element set with addition and scalar action, plus a derived
     presentation (generators, integer coordinates, relation vectors)
-    recovered by breadth-first span closure."""
+    recovered by walking the span of each generator in turn."""
 
     __slots__ = (
         "ring", "elements", "zero", "_add", "_smul",
@@ -90,7 +117,7 @@ class TableModule:
 
     def __init__(self, ring: TableRing, elements, add, smul):
         self.ring = ring
-        self.elements = tuple(sorted(elements, key=_ekey))
+        self.elements = tuple(sorted(elements))
         self._add = add
         self._smul = smul
         self.zero = next(x for x in self.elements if add(x, x) == x)
@@ -135,39 +162,29 @@ class TableModule:
 
     # -- derived presentation -----------------------------------------
     def _derive_presentation(self):
-        gens, coords = [], {self.zero: ()}
+        """Generators are taken greedily in element order.  The span of the
+        earlier generators is a closed subgroup S, so a new generator x
+        adds exactly the cosets S + j*x for 0 < j < o, where o is the order
+        of x modulo S: coordinates are mixed radix, and the single relation
+        o*e_x - coords(o*x) per generator is a triangular basis of the
+        relation lattice."""
+        gens, coords, rels = [], {self.zero: ()}, []
         for x in self.elements:
             if x in coords:
                 continue
             gens.append(x)
-            k = len(gens)
-            coords = {e: c + (0,) * (k - len(c)) for e, c in coords.items()}
-            coords[x] = (0,) * (k - 1) + (1,)
-            frontier = list(coords)
-            while frontier:
-                nxt = []
-                for e in frontier:
-                    for i, g in enumerate(gens):
-                        s = self._add(e, g)
-                        if s not in coords:
-                            c = list(coords[e])
-                            c[i] += 1
-                            coords[s] = tuple(c)
-                            nxt.append(s)
-                frontier = nxt
+            span = [(e, c + (0,)) for e, c in coords.items()]
+            coords = dict(span)
+            y, j = x, 1
+            while y not in coords:
+                for e, c in span:
+                    coords[self._add(e, y)] = c[:-1] + (j,)
+                y, j = self._add(y, x), j + 1
+            rels.append(tuple(-c for c in coords[y][:-1]) + (j,))
+        k = len(gens)
         self.gens = tuple(gens)
         self.coords = coords
-        k = len(gens)
-        rels = set()
-        for x in self.elements:
-            for i, g in enumerate(gens):
-                d = list(coords[x])
-                d[i] += 1
-                s = coords[self._add(x, g)]
-                v = tuple(a - b for a, b in zip(d, s))
-                if any(v):
-                    rels.add(v)
-        self.rels = tuple(sorted(rels))
+        self.rels = tuple(v + (0,) * (k - len(v)) for v in rels)
 
     def scalar_gen_coords(self, r, i):
         """Coordinates of r * gens[i]."""
@@ -271,10 +288,10 @@ def product_module(ring: TableRing, factors) -> TableModule:
     els = list(iproduct(*[f["elements"] for f in factors]))
 
     def add(x, y):
-        return tuple(f["add"](a, b) for f, a, b in zip(factors, x, y))
+        return tuple([f["add"](a, b) for f, a, b in zip(factors, x, y)])
 
     def smul(r, x):
-        return tuple(f["smul"](r, a) for f, a in zip(factors, x))
+        return tuple([f["smul"](r, a) for f, a in zip(factors, x)])
 
     return TableModule(ring, els, add, smul)
 
@@ -390,8 +407,10 @@ def _homs(M: TableModule, N: TableModule):
     return walk(0)
 
 
+@_shared_in_audit
 def enumerate_homs(M: TableModule, N: TableModule):
-    """All module maps M -> N as element tables (dicts)."""
+    """All module maps M -> N as element tables (dicts).  Inside a law
+    audit the list for two corpus modules is shared: do not mutate it."""
     return [{x: N.combine(M.coords[x], ys) for x in M.elements} for ys in _homs(M, N)]
 
 
@@ -403,7 +422,8 @@ def hom_torsion_structure(M: TableModule, N: TableModule):
     """(order, cyclic factor orders) of Hom(M, N) as an abelian group.
 
     The d-torsion counts are read off the enumerated maps: d kills a map
-    exactly when it kills the image of every generator.  The search is
+    exactly when it kills the image of every generator, that is when the
+    order of each image divides d.  The search is
     the exhaustive one of ``hom_count``, so this answers for every pair.
     """
     divisors = [d for d in range(1, N.exponent + 1) if N.exponent % d == 0]
@@ -411,7 +431,7 @@ def hom_torsion_structure(M: TableModule, N: TableModule):
     for ys in _homs(M, N):
         total += 1
         for d in divisors:
-            counts[d] += all(N.int_mul(d, y) == N.zero for y in ys)
+            counts[d] += all(d % N.order_of(y) == 0 for y in ys)
     exp = next(d for d in divisors if counts[d] == total)
     full = {d: counts[d] for d in divisors if exp % d == 0}
     return total, invariant_factors_from_torsion(total, full)
@@ -467,7 +487,7 @@ class TensorTable:
                             relvecs.add(v)
 
         def add(x, y):
-            return tuple((a + b) % e for a, b in zip(x, y))
+            return tuple([(a + b) % e for a, b in zip(x, y)])
 
         label, reps = _cosets(iproduct(*[range(e)] * dim), add, (0,) * dim, relvecs)
         self._M = M
@@ -493,6 +513,9 @@ class TensorTable:
 
 def tensor_by_elements(M: TableModule, N: TableModule) -> TableModule:
     return TensorTable(M, N).module
+
+
+_tensor_table = _shared_in_audit(TensorTable)
 
 
 # -- maps, subs and quotients as tables ------------------------------
@@ -596,11 +619,13 @@ def compose_tables(g: dict, f: dict) -> dict:
     return {x: g[y] for x, y in f.items()}
 
 
+@_shared_in_audit
 def ker_arrow(a: TableArrow) -> TableArrow:
     K = kernel_table(a)
     return TableArrow(K, a.src, {x: x for x in K.elements})
 
 
+@_shared_in_audit
 def cok_arrow(a: TableArrow) -> TableArrow:
     C, lab = cokernel_table(a)
     return TableArrow(a.dst, C, {y: lab[y] for y in a.dst.elements})
@@ -651,8 +676,8 @@ def count_arrow_squares(a: TableArrow, b: TableArrow) -> int:
 
 def tensor_arrow_tables(a: TableArrow, b: TableArrow):
     """(T0, T1, arrow) for the componentwise tensor of two arrows."""
-    T0 = TensorTable(a.src, b.src)
-    T1 = TensorTable(a.dst, b.dst)
+    T0 = _tensor_table(a.src, b.src)
+    T1 = _tensor_table(a.dst, b.dst)
     M1 = T1.module
     imgs = [T1.pairing(a.f[g], b.f[h]) for g, h in iproduct(a.src.gens, b.src.gens)]
     return T0, T1, TableArrow(T0.module, M1, {x: M1.combine(x, imgs) for x in T0.module.elements})
@@ -665,9 +690,9 @@ class BoxTables:
 
     def __init__(self, a: TableArrow, b: TableArrow):
         self.a, self.b = a, b
-        self.T01 = TensorTable(a.src, b.dst)
-        self.T10 = TensorTable(a.dst, b.src)
-        self.T11 = TensorTable(a.dst, b.dst)
+        self.T01 = _tensor_table(a.src, b.dst)
+        self.T10 = _tensor_table(a.dst, b.src)
+        self.T11 = _tensor_table(a.dst, b.dst)
         M01, M10, M11 = self.T01.module, self.T10.module, self.T11.module
         D = direct_sum_table(M01, M10)
         W = []
@@ -733,7 +758,7 @@ def _describe_arrow(a: TableArrow):
     return {
         "src_factors": a.src.invariant_factor_orders(),
         "dst_factors": a.dst.invariant_factor_orders(),
-        "map": str(sorted(a.f.items(), key=lambda t: _ekey(t[0]))),
+        "map": str(sorted(a.f.items())),
     }
 
 
@@ -838,7 +863,7 @@ def _box_assoc(a, b, c):
 def _cok_monoidal(a, b):
     C, _ = cokernel_table(BoxTables(a, b).arrow)
     ca, cb = cok_arrow(a), cok_arrow(b)
-    Tcc = TensorTable(ca.dst, cb.dst)
+    Tcc = _tensor_table(ca.dst, cb.dst)
     imgs = [Tcc.pairing(ca.f[g], cb.f[h]) for g, h in iproduct(a.dst.gens, b.dst.gens)]
     return _is_iso(C, Tcc.module, {y: Tcc.module.combine(y, imgs) for y in C.elements})
 
@@ -901,12 +926,25 @@ def _failure(law, t):
 def check_monoidal_laws(corpus: FiniteCorpus, laws="all", pair_bound=16, triple_bound=8):
     """Exhaustive law verification over bounded arrow tuples.
 
-    Never raises on a law failure: failures are reported verbatim."""
+    Never raises on a law failure: failures are reported verbatim.  For
+    the length of the call, the hom lists and tensor tables of corpus
+    modules and the kernel and cokernel arrows of pool arrows are built
+    once and shared by every tuple; they are dropped when it returns."""
     selected = LAW_NAMES if laws == "all" else tuple(laws)
     bad = [x for x in selected if x not in LAW_NAMES]
     if bad:
         raise ValueError(f"unknown laws: {bad}")
+    shared = set(corpus.modules)
+    token = _audit.set((shared, {}))
+    try:
+        return _audit_laws(corpus, shared, selected, pair_bound, triple_bound)
+    finally:
+        _audit.reset(token)
+
+
+def _audit_laws(corpus, shared, selected, pair_bound, triple_bound):
     pool = all_table_arrows(corpus, pair_bound)
+    shared.update(pool)
     orders = [a.order() for a in pool]
     tuples = {
         "singles": [(a,) for a in pool],
@@ -973,7 +1011,7 @@ def hom_colimit_check(C: TableModule, chain):
     injective = True
     for i, S in enumerate(stages):
         homs = enumerate_homs(C, S)
-        imgs = {tuple(sorted(compose_tables(to_last[i], h).items(), key=lambda t: _ekey(t[0]))) for h in homs}
+        imgs = {tuple(sorted(compose_tables(to_last[i], h).items())) for h in homs}
         if len(imgs) != len(homs):
             injective = False
         stage_counts.append({"stage": i, "hom_count": len(homs), "image_count": len(imgs)})

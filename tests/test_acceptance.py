@@ -362,15 +362,8 @@ def test_criterion_09_engine_oracle_agreement():
                 engine_order = 1
                 for f in engine_factors:
                     engine_order *= f
-                try:
-                    total, factors = hom_torsion_structure(Ma, Mb)
-                    mismatches += sorted(factors) != engine_factors
-                except ValueError:
-                    # scalar action mixes table generators; fall back to raw
-                    # enumeration.  These hom groups all have exponent two,
-                    # so the order pins the factors.
-                    total = hom_count(Ma, Mb)
-                    mismatches += engine_factors != [2] * (total.bit_length() - 1)
+                total, factors = hom_torsion_structure(Ma, Mb)
+                mismatches += sorted(factors) != engine_factors
                 mismatches += total != engine_order
 
                 cand = 1

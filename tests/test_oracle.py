@@ -25,6 +25,7 @@ from adic_smith.oracle import (
     MAX_ORDER,
     FiniteCorpus,
     TableArrow,
+    TableModule,
     TensorTable,
     all_table_arrows,
     check_monoidal_laws,
@@ -100,6 +101,104 @@ def test_derived_presentation_recovers_elements():
             assert M.combine(r, gens) == M.zero
 
 
+def _schreier_relations(M):
+    """coords(y) + e_i - coords(y + g_i) over every element y and every
+    generator g_i: relations read off the addition table alone, which
+    generate the whole relation lattice."""
+    rels = set()
+    for y in M.elements:
+        for i, g in enumerate(M.gens):
+            v = list(M.coords[y])
+            v[i] += 1
+            v = tuple(a - b for a, b in zip(v, M.coords[M.add(y, g)]))
+            if any(v):
+                rels.add(v)
+    return sorted(rels)
+
+
+def _all_generator_walk(M):
+    """(gens, coords) by the breadth-first closure over every generator
+    so far, each time a new generator joins."""
+    gens, coords = [], {M.zero: ()}
+    for x in M.elements:
+        if x in coords:
+            continue
+        gens.append(x)
+        k = len(gens)
+        coords = {e: c + (0,) * (k - len(c)) for e, c in coords.items()}
+        coords[x] = (0,) * (k - 1) + (1,)
+        frontier = list(coords)
+        while frontier:
+            nxt = []
+            for e in frontier:
+                for i, g in enumerate(gens):
+                    s = M.add(e, g)
+                    if s not in coords:
+                        c = list(coords[e])
+                        c[i] += 1
+                        coords[s] = tuple(c)
+                        nxt.append(s)
+            frontier = nxt
+    return tuple(gens), coords
+
+
+def _assert_same_presentation(M):
+    gens, coords = _all_generator_walk(M)
+    assert M.gens == gens
+    assert list(M.coords.items()) == list(coords.items())
+    assert M.elements == tuple(sorted(coords))
+    k = len(gens)
+    # one relation per generator, triangular, its diagonal the order of
+    # that generator over the span of the earlier ones (the radix of its
+    # mixed-radix coordinate)
+    assert len(M.rels) == k
+    for i, v in enumerate(M.rels):
+        assert all(c == 0 for c in v[i + 1:])
+        assert v[i] == 1 + max(c[i] for c in coords.values())
+        assert M.combine(v, gens) == M.zero
+    # and they span every Schreier relation: back-substitution clears each
+    for v in _schreier_relations(M):
+        v = list(v)
+        for i in range(k - 1, -1, -1):
+            q, r = divmod(v[i], M.rels[i][i])
+            assert r == 0
+            v = [a - q * b for a, b in zip(v, M.rels[i])]
+        assert not any(v)
+
+
+def test_one_walk_per_generator_matches_all_generator_walk(monkeypatch):
+    for ring in ("z2", "z3", "z4", "f2x"):
+        for M in FiniteCorpus(ring, 16).modules:
+            _assert_same_presentation(M)
+    derive = TableModule._derive_presentation
+    built = []
+
+    def derive_and_check(M):
+        derive(M)
+        _assert_same_presentation(M)
+        built.append(len(M))
+
+    monkeypatch.setattr(TableModule, "_derive_presentation", derive_and_check)
+    assert check_monoidal_laws(FiniteCorpus("z2", 16))["all_pass"]
+    assert len(built) > 1000 and max(built) > 8
+
+
+def test_walk_relation_when_a_multiple_lands_in_the_span():
+    # Z/9 with 3 and 6 named first: the walk takes 3 as its first
+    # generator, then 1, whose triple 3 is the first generator again.
+    # Corpus modules and the z2 tables never have such a relation.
+    names = {v: (i, v) for i, v in enumerate([0, 3, 6, 1, 2, 4, 5, 7, 8])}
+    M = TableModule(
+        corpus_ring("zz"),
+        names.values(),
+        lambda x, y: names[(x[1] + y[1]) % 9],
+        lambda r, x: names[(r * x[1]) % 9],
+    )
+    assert M.gens == (names[3], names[1])
+    assert M.rels == ((3, 0), (-1, 3))
+    _assert_same_presentation(M)
+
+
 def test_order_of():
     A4 = cyclic_table_module(corpus_ring("z4"), 4)
     assert A4.order_of((1,)) == 4
@@ -156,6 +255,26 @@ def test_tensor_pairing_bilinear():
     assert T.order_of(TT.pairing((1,), (1,))) == len(T)
 
 
+def test_tensor_table_is_deterministic():
+    # Inside a law audit one tensor table per corpus pair is shared, so
+    # ker_lax's determinism check compares that table with itself; here
+    # two independent builds must agree.
+    pairs = {}
+    for ring in ("z2", "z3", "z4", "f2x"):
+        c = FiniteCorpus(ring, 16)
+        pairs[ring] = 0
+        for M in c.modules:
+            for N in c.modules:
+                if len(M) * len(N) > 64:
+                    continue
+                S, T = TensorTable(M, N), TensorTable(M, N)
+                assert S is not T
+                assert S.module.elements == T.module.elements
+                assert all(S.pairing(m, n) == T.pairing(m, n) for m in M.elements for n in N.elements)
+                pairs[ring] += 1
+    assert pairs == {"z2": 22, "z3": 8, "z4": 60, "f2x": 60}
+
+
 @pytest.mark.parametrize("a,b,g", [(2, 4, 2), (4, 2, 2), (4, 4, 4), (2, 2, 2)])
 def test_hom_count_matches_gcd(a, b, g):
     r = corpus_ring("z4")
@@ -168,11 +287,12 @@ def test_hom_count_matches_gcd(a, b, g):
 
 
 def _reference_homs(M, N):
-    """Every candidate assignment, with each relation and each scalar
-    equation checked on the full assignment."""
+    """Every candidate assignment, with each Schreier relation and each
+    scalar equation checked on the full assignment."""
+    rels = _schreier_relations(M)
     out = []
     for ys in iproduct(*hom_candidates(M, N)):
-        ok = all(N.combine(v, ys) == N.zero for v in M.rels)
+        ok = all(N.combine(v, ys) == N.zero for v in rels)
         if not M.ring.is_integers:
             ok = ok and all(
                 N.smul(r, ys[i]) == N.combine(M.scalar_gen_coords(r, i), ys)
@@ -331,6 +451,41 @@ def test_law_failures_reported_verbatim(monkeypatch):
     assert list(rep["laws"]["box_assoc"]["failures"][0]) == ["law", "a", "b", "c"]
     assert list(rep["laws"]["embed_adjunctions"]["failures"][0]) == ["law", "module_factors", "x"]
     assert hashlib.md5(json.dumps(rep).encode()).hexdigest() == "81639205cc24ea8382a916b032f23677"
+
+
+def test_tables_are_shared_only_within_one_audit(monkeypatch):
+    c = FiniteCorpus("z2", 8)
+    first = check_monoidal_laws(c)
+    assert oracle._audit.get() is None
+    assert check_monoidal_laws(c) == first
+    assert oracle._audit.get() is None
+
+    seen = []
+
+    def probe(a, b):
+        # during the audit: corpus tables are shared, derived ones and the
+        # public tensor_by_elements are not
+        seen.append((
+            oracle._tensor_table(a.src, b.dst) is oracle._tensor_table(a.src, b.dst),
+            enumerate_homs(a.src, b.src) is enumerate_homs(a.src, b.src),
+            cok_arrow(a) is cok_arrow(a) and ker_arrow(b) is ker_arrow(b),
+            cok_arrow(cok_arrow(a)) is not cok_arrow(cok_arrow(a)),
+            tensor_by_elements(a.src, b.src) is not tensor_by_elements(a.src, b.src),
+        ))
+        return True
+
+    monkeypatch.setitem(oracle._LAWS, "cok_monoidal", (probe, "pairs"))
+    rep = check_monoidal_laws(c, laws=("cok_monoidal",))
+    assert rep["laws"]["cok_monoidal"]["tuples"] == len(seen) > 0
+    assert all(all(s) for s in seen)
+    assert oracle._audit.get() is None
+
+    # after the call nothing is shared any more
+    M, N = c.modules[1], c.modules[2]
+    assert oracle._tensor_table(M, N) is not oracle._tensor_table(M, N)
+    assert enumerate_homs(M, N) is not enumerate_homs(M, N)
+    a = all_table_arrows(c, 16)[3]
+    assert cok_arrow(a) is not cok_arrow(a)
 
 
 def test_law_subset_and_unknown_name():
