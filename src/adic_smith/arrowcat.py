@@ -29,12 +29,11 @@ from adic_smith.fpmod import (
     FPModule,
     factor_through,
     pushout,
-    quotient,
     tensor,
     tensor_map,
     tensor_swap,
 )
-from adic_smith.linalg import Matrix, hstack
+from adic_smith.linalg import Matrix, hstack, vstack
 
 
 class Arrow:
@@ -213,10 +212,10 @@ def pushout_product(a: Arrow, b: Arrow) -> Arrow:
     return Arrow(induced)
 
 
-def box_arrow_maps(phi: ArrowMap, psi: ArrowMap) -> ArrowMap:
-    """Functoriality of box on commuting squares."""
-    src = pushout_product(phi.source, psi.source)
-    dst = pushout_product(phi.target, psi.target)
+def box_arrow_maps(phi: ArrowMap, psi: ArrowMap, src: Arrow, dst: Arrow) -> ArrowMap:
+    """Functoriality of box on commuting squares: phi box psi from
+    src = phi.source box psi.source to dst = phi.target box psi.target,
+    both as built by ``pushout_product``."""
     tl = tensor_map(phi.top, psi.bottom)
     tr = tensor_map(phi.bottom, psi.top)
     top = FPMap(src.dom, dst.dom, _block_cols(tl.mat, tr.mat, dst.dom))
@@ -230,8 +229,6 @@ def _block_cols(A: Matrix, B: Matrix, dst: FPModule) -> Matrix:
     base = A.ring
     za = Matrix.zeros(base, B.m, A.n)
     zb = Matrix.zeros(base, A.m, B.n)
-    from adic_smith.linalg import vstack
-
     left = vstack(A, za)
     right = vstack(zb, B)
     out = hstack(left, right)
@@ -280,7 +277,7 @@ def box_symmetry(a: Arrow, b: Arrow) -> ArrowMap:
     for i in range(gX1):
         for j in range(gY0):
             rows[j * gX1 + i][gX0 * gY1 + i * gY0 + j] = base.one
-    top = FPMap(left.dom, right.dom, Matrix(base, rows, _raw=True))
+    top = FPMap(left.dom, right.dom, Matrix(base, rows))
     return ArrowMap(left, right, top, tensor_swap(a.cod, b.cod))
 
 
@@ -314,7 +311,7 @@ def box_assoc(a: Arrow, b: Arrow, c: Arrow) -> ArrowMap:
             for k in range(gZ0):
                 src = off_l2 + (i * gY1 + j) * gZ0 + k
                 rows[off_r + i * gQ + gY0 * gZ1 + j * gZ0 + k][src] = base.one
-    top = FPMap(left.dom, right.dom, Matrix(base, rows, _raw=True))
+    top = FPMap(left.dom, right.dom, Matrix(base, rows))
     return ArrowMap(left, right, top, FPMap.identity(left.cod))
 
 

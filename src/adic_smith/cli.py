@@ -17,15 +17,12 @@ from .linalg import Matrix
 from .fpmod import FPModule, FPMap, _cols_in_span
 from .arrowcat import ArrowMap
 from .tower import (
+    GradedPiece,
     SmithIdeal,
     Tower,
     check_analytic_equivalence,
     check_complete,
     check_module_complete,
-    graded_piece,
-    induced_level_map,
-    localization_to_truncation,
-    truncated_ideal,
     ModuleTower,
     yekutieli_compare,
 )
@@ -221,7 +218,10 @@ def _monomial_field(text: str):
 
         return QQ
     if text and text[0] in ("F", "f") and text[1:].isdigit():
-        return GF(int(text[1:]))
+        try:
+            return GF(int(text[1:]))
+        except ValueError as e:
+            raise InputError("--ring", str(e)) from None
     raise InputError("--ring", f"expected Q or F<p>, got {text!r}")
 
 
@@ -269,8 +269,8 @@ def cmd_tower(args, doc):
 
 
 def cmd_graded(args, doc):
-    ideal = doc.need("ideals", args.ideal, "--ideal")
-    pieces = [graded_piece(ideal, n) for n in range(args.levels + 1)]
+    tower = Tower(doc.need("ideals", args.ideal, "--ideal"), args.levels)
+    pieces = [GradedPiece(tower, n) for n in range(args.levels + 1)]
     levels = [p.describe() for p in pieces]
     ok = all(
         lv["comparison_is_iso"] and lv["transition_kernel_ses_exact"] and lv["kernel_matches_graded"]
@@ -289,15 +289,14 @@ def cmd_graded(args, doc):
     return report, ok
 
 
-def _level_map_certificates(src, dst, phi, N):
+def _level_map_certificates(verdict):
     out = []
-    for n in range(N + 1):
-        lv, reason = induced_level_map(src, dst, phi, n)
+    for e, lv in zip(verdict.entries, verdict.maps):
         if lv is None:
-            out.append({"level": n, "descent_failure": reason})
+            out.append({"level": e["level"], "descent_failure": e["obstruction"]["descent"]})
         else:
             out.append(
-                {"level": n, "top": _mat_json(lv.top.mat), "bottom": _mat_json(lv.bottom.mat)}
+                {"level": e["level"], "top": _mat_json(lv.top.mat), "bottom": _mat_json(lv.bottom.mat)}
             )
     return out
 
@@ -308,9 +307,7 @@ def cmd_complete_check(args, doc):
     report = {"command": "complete-check", "ideal": args.ideal}
     report.update(verdict.describe())
     if args.with_certificates:
-        trunc = truncated_ideal(ideal, args.levels)
-        phi = localization_to_truncation(ideal, trunc)
-        report["certificates"] = _level_map_certificates(ideal, trunc, phi, args.levels)
+        report["certificates"] = _level_map_certificates(verdict)
     return report, verdict.ok
 
 
@@ -322,7 +319,7 @@ def cmd_analytic_check(args, doc):
     report = {"command": "analytic-check", "map": args.map}
     report.update(verdict.describe())
     if args.with_certificates:
-        report["certificates"] = _level_map_certificates(src, dst, phi, args.levels)
+        report["certificates"] = _level_map_certificates(verdict)
     return report, verdict.ok
 
 
@@ -330,7 +327,7 @@ def cmd_adic_module(args, doc):
     ideal = doc.need("ideals", args.ideal, "--ideal")
     M = doc.need("modules", args.module, "--module")
     mt = ModuleTower(ideal, M, args.levels)
-    verdict = check_module_complete(ideal, M, args.levels)
+    verdict = check_module_complete(mt)
     ok = verdict.ok and all(mt.transitions_epi.values())
     report = {
         "command": "adic-module",
@@ -356,7 +353,7 @@ def cmd_yekutieli(args, doc):
     ideal = doc.need("ideals", args.ideal, "--ideal")
     if args.levels < 1:
         raise InputError("--levels", "needs at least one level")
-    entries = [yekutieli_compare(ideal, n, args.levels) for n in range(1, args.levels + 1)]
+    entries = yekutieli_compare(ideal, args.levels)
     ok = all(
         e["map_image_to_power_iso"] and e["map_power_to_limit_iso"] and e["composite_iso"]
         for e in entries
@@ -494,9 +491,15 @@ def main(argv=None) -> int:
         if not args.input:
             sys.stderr.write(f"input error: --input: {args.command} needs a document\n")
             return EXIT_INPUT
-    for flag, value in (("--levels", args.levels), ("--depth", args.depth)):
-        if value < 0:
-            sys.stderr.write(f"input error: {flag}: must be >= 0, got {value}\n")
+    for flag, value, least in (
+        ("--levels", args.levels, 0),
+        ("--depth", args.depth, 0),
+        ("--max-order", args.max_order, 1),
+        ("--pair-bound", args.pair_bound, 1),
+        ("--triple-bound", args.triple_bound, 1),
+    ):
+        if value < least:
+            sys.stderr.write(f"input error: {flag}: must be >= {least}, got {value}\n")
             return EXIT_INPUT
     if args.command != "tower" and args.engine == "monomial":
         sys.stderr.write("input error: --engine: only tower supports the monomial engine\n")

@@ -56,7 +56,6 @@ class FPModule:
         if any(len(c) != ngens for c in cols):
             raise ValueError(f"relation length mismatch, wanted {ngens}")
         if modulus is not None:
-            modulus = base.coerce_payload(modulus)
             for i in range(ngens):
                 col = [base.zero] * ngens
                 col[i] = modulus
@@ -121,9 +120,12 @@ class FPModule:
         return v
 
     def reduce_vec(self, v):
-        """Unique reduced coordinates of v modulo the relation lattice."""
+        """Unique reduced coordinates of v (canonical payloads) modulo the
+        relation lattice."""
         base = self.base
-        v = self.coerce_vec(v)
+        v = list(v)
+        if len(v) != self.ngens:
+            raise ValueError(f"length {len(v)} vector in {self.ngens}-generator module")
         H = self.rel.rows
         for i, j in self._pivots:
             q, r = base.divmod_(v[i], H[i][j])
@@ -244,7 +246,8 @@ class FPMap:
         if src.algebra != dst.algebra:
             raise ValueError("maps need a common algebra")
         if not isinstance(mat, Matrix):
-            mat = Matrix(src.base, mat, shape=(dst.ngens, src.ngens))
+            coerce = src.base.coerce_payload
+            mat = Matrix(src.base, [[coerce(x) for x in r] for r in mat], shape=(dst.ngens, src.ngens))
         if (mat.m, mat.n) != (dst.ngens, src.ngens):
             raise ValueError(
                 f"matrix {mat.m}x{mat.n} against map "
@@ -328,14 +331,7 @@ class FPMap:
     # -- exactness ----------------------------------------------------
     def kernel(self):
         """(K, incl) with incl: K -> src exact onto the kernel."""
-        big = hstack(self.mat, self.dst.rel)
-        Kb = kernel_basis(big)
-        G = Matrix(
-            self.src.base,
-            [Kb.rows[i] for i in range(self.src.ngens)],
-            shape=(self.src.ngens, Kb.n),
-            _raw=True,
-        )
+        G = _projected_kernel(hstack(self.mat, self.dst.rel), self.src.ngens)
         return submodule(self.src, G)
 
     def image(self):
@@ -382,9 +378,7 @@ def _solve_top(A: Matrix, B: Matrix, top: int):
     X = solve_matrix(A, B)
     if X is None:
         return None
-    return Matrix(
-        A.ring, [X.rows[i] for i in range(top)], shape=(top, X.n), _raw=True
-    )
+    return Matrix(A.ring, X.rows[:top], shape=(top, X.n))
 
 
 # -- subquotients -----------------------------------------------------
@@ -407,9 +401,7 @@ def quotient(M: FPModule, H: Matrix):
 
 def _projected_kernel(A: Matrix, top: int) -> Matrix:
     Kb = kernel_basis(A)
-    return Matrix(
-        A.ring, [Kb.rows[i] for i in range(top)], shape=(top, Kb.n), _raw=True
-    )
+    return Matrix(A.ring, Kb.rows[:top], shape=(top, Kb.n))
 
 
 def factor_through(u: FPMap, through: FPMap):
@@ -520,7 +512,7 @@ def tensor_swap(M: FPModule, N: FPModule, src: FPModule | None = None, dst: FPMo
     for i in range(M.ngens):
         for j in range(N.ngens):
             rows[j * M.ngens + i][i * N.ngens + j] = base.one
-    return FPMap(src, dst, Matrix(base, rows, _raw=True), check=False)
+    return FPMap(src, dst, Matrix(base, rows), check=False)
 
 
 # -- hom --------------------------------------------------------------
@@ -647,7 +639,7 @@ def minimal_decomposition(M: FPModule):
         col[t] = d
         cols.append(col)
     Mmin = FPModule(M.algebra, k, cols)
-    to_mat = Matrix(base, [cert.U.rows[i] for i in keep], shape=(k, M.ngens), _raw=True)
+    to_mat = Matrix(base, [cert.U.rows[i] for i in keep], shape=(k, M.ngens))
     fro_mat = Matrix.from_cols(base, [cert.U_inv.col(i) for i in keep], M.ngens)
     to = FPMap(M, Mmin, to_mat, check=False)
     fro = FPMap(Mmin, M, fro_mat, check=False)

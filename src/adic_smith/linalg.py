@@ -10,7 +10,11 @@ exact identity, checked in tests), plus an independent fraction-free
 determinant.  ``solve_linear`` and ``kernel_basis`` are derived from the
 certificate; both are verified by substitution wherever they are used.
 
-Matrices store raw ring payloads row-major.  Every Euclidean ring, Z
+Matrices store ring payloads row-major, and those payloads must already
+be canonical (see ``rings``): nothing in this module coerces.  Values
+from a caller are coerced where they enter the package, in ``FPModule``,
+``FPMap``, ``SmithIdeal`` and the CLI parser; every payload built from
+them by ring operations is canonical again.  Every Euclidean ring, Z
 included, goes through the one ring-op kernel ``_snf_generic``; its pivot
 rule is minimal euclidean size, first in row-major order.
 """
@@ -23,8 +27,8 @@ from adic_smith.rings import IntegerRing, Ring
 class Matrix:
     __slots__ = ("ring", "m", "n", "rows")
 
-    def __init__(self, ring: Ring, rows, shape=None, _raw=False):
-        rows = [list(r) for r in rows]
+    def __init__(self, ring: Ring, rows, shape=None):
+        rows = tuple(tuple(r) for r in rows)
         if shape is not None:
             m, n = shape
             if len(rows) != m or any(len(r) != n for r in rows):
@@ -34,12 +38,10 @@ class Matrix:
             n = len(rows[0]) if rows else 0
             if any(len(r) != n for r in rows):
                 raise ValueError("ragged rows")
-        if not _raw:
-            rows = [[ring.coerce_payload(x) for x in r] for r in rows]
         self.ring = ring
         self.m = m
         self.n = n
-        self.rows = tuple(tuple(r) for r in rows)
+        self.rows = rows
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -49,20 +51,19 @@ class Matrix:
             ring,
             [[one if i == j else zero for j in range(k)] for i in range(k)],
             shape=(k, k),
-            _raw=True,
         )
 
     @classmethod
     def zeros(cls, ring: Ring, m: int, n: int) -> "Matrix":
         zero = ring.zero
-        return cls(ring, [[zero] * n for _ in range(m)], shape=(m, n), _raw=True)
+        return cls(ring, [[zero] * n for _ in range(m)], shape=(m, n))
 
     @classmethod
     def from_cols(cls, ring: Ring, cols, m: int) -> "Matrix":
-        cols = [list(c) for c in cols]
+        cols = [tuple(c) for c in cols]
         if any(len(c) != m for c in cols):
             raise ValueError(f"column height mismatch: wanted {m}")
-        rows = [[c[i] for c in cols] for i in range(m)]
+        rows = list(zip(*cols)) if cols else [()] * m
         return cls(ring, rows, shape=(m, len(cols)))
 
     @classmethod
@@ -87,7 +88,6 @@ class Matrix:
             self.ring,
             [[self.rows[i][j] for i in range(self.m)] for j in range(self.n)],
             shape=(self.n, self.m),
-            _raw=True,
         )
 
     def is_zero(self) -> bool:
@@ -129,7 +129,6 @@ class Matrix:
                 for ra, rb in zip(self.rows, other.rows)
             ],
             shape=(self.m, self.n),
-            _raw=True,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -142,7 +141,6 @@ class Matrix:
                 for ra, rb in zip(self.rows, other.rows)
             ],
             shape=(self.m, self.n),
-            _raw=True,
         )
 
     def __neg__(self) -> "Matrix":
@@ -151,7 +149,6 @@ class Matrix:
             self.ring,
             [[neg(a) for a in r] for r in self.rows],
             shape=(self.m, self.n),
-            _raw=True,
         )
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -185,7 +182,7 @@ class Matrix:
                             if Bk[j] != zero:
                                 row[j] = add(row[j], mul(a, Bk[j]))
                 out.append(row)
-        return Matrix(self.ring, out, shape=(self.m, other.n), _raw=True)
+        return Matrix(self.ring, out, shape=(self.m, other.n))
 
     def _check_same_shape(self, other):
         if other.ring != self.ring or (other.m, other.n) != (self.m, self.n):
@@ -211,23 +208,13 @@ def matvec(A: Matrix, v):
 def hstack(A: Matrix, B: Matrix) -> Matrix:
     if A.ring != B.ring or A.m != B.m:
         raise ValueError("hstack mismatch")
-    return Matrix(
-        A.ring,
-        [list(ra) + list(rb) for ra, rb in zip(A.rows, B.rows)],
-        shape=(A.m, A.n + B.n),
-        _raw=True,
-    )
+    return Matrix(A.ring, [ra + rb for ra, rb in zip(A.rows, B.rows)], shape=(A.m, A.n + B.n))
 
 
 def vstack(A: Matrix, B: Matrix) -> Matrix:
     if A.ring != B.ring or A.n != B.n:
         raise ValueError("vstack mismatch")
-    return Matrix(
-        A.ring,
-        [list(r) for r in A.rows] + [list(r) for r in B.rows],
-        shape=(A.m + B.m, A.n),
-        _raw=True,
-    )
+    return Matrix(A.ring, A.rows + B.rows, shape=(A.m + B.m, A.n))
 
 
 def block_diag(ring: Ring, blocks) -> Matrix:
@@ -241,7 +228,7 @@ def block_diag(ring: Ring, blocks) -> Matrix:
             out[i0 + i][j0 : j0 + b.n] = b.rows[i]
         i0 += b.m
         j0 += b.n
-    return Matrix(ring, out, shape=(m, n), _raw=True)
+    return Matrix(ring, out, shape=(m, n))
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:
@@ -263,7 +250,7 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
                 for l in range(B.n):
                     if Brow[l] != zero:
                         orow[j * B.n + l] = mul(a, Brow[l])
-    return Matrix(ring, out, shape=(m, n), _raw=True)
+    return Matrix(ring, out, shape=(m, n))
 
 
 class SNFCertificate:
@@ -296,7 +283,7 @@ def smith_normal_form(A: Matrix) -> SNFCertificate:
     if not ring.is_euclidean:
         raise TypeError(f"SNF needs a Euclidean ring, got {ring!r}")
     D, U, V, Ui, Vi, du, dv = _snf_generic(ring, A.m, A.n, A.rows)
-    mk = lambda rows, m, n: Matrix(ring, rows, shape=(m, n), _raw=True)
+    mk = lambda rows, m, n: Matrix(ring, rows, shape=(m, n))
     return SNFCertificate(
         ring,
         mk(D, A.m, A.n),
@@ -589,4 +576,4 @@ def column_hermite(A: Matrix) -> Matrix:
                 if q != zero:
                     col_sub(j, cc, q)
 
-    return Matrix(ring, H, shape=(m, n), _raw=True)
+    return Matrix(ring, H, shape=(m, n))

@@ -33,6 +33,15 @@ never on the k^(n+1)-generator tensor power.  ``SmithIdeal.mu``,
 for the paper's mu_n and its nilpotence predicate; no command builds a
 tensor power.
 
+Each command builds every level it reads once and hands it on.  A
+:class:`Tower` holds levels 0..N with their transitions, and
+:class:`GradedPiece` and :class:`ModuleTower` read levels and
+transitions from it.  Checks that use no transitions (completeness,
+analytic equivalence, the re-truncated side of the module check) build
+the plain list ``tower_levels``.  The truncated ideal is made from a
+level already in hand (``truncated_ideal(ideal, lv)``), and a verdict
+keeps its per-level maps, so certificates are read off it.
+
 The inverse limit is never materialized: completeness is always a
 level-indexed verdict obtained by re-truncating the level-N data.
 """
@@ -77,8 +86,7 @@ class SmithIdeal:
 
     def __init__(self, algebra: Ring, gens, ambient_modulus=None):
         base, modulus = algebra_split(algebra)
-        cols = [] if ambient_modulus is None else [[base.coerce_payload(ambient_modulus)]]
-        ambient = FPModule(algebra, 1, cols)
+        ambient = FPModule(algebra, 1, [] if ambient_modulus is None else [[ambient_modulus]])
         gens = [ambient.reduce_vec([base.coerce_payload(g)])[0] for g in gens]
         self.algebra = algebra
         self.base = base
@@ -129,8 +137,8 @@ class SmithIdeal:
         rows = [[base.zero] * len(combos) for _ in row]
         for j, c in enumerate(combos):
             rows[row[c[:m]]][j] = self._product(c[m:])
-        X = Matrix(base, rows, shape=(len(row), len(combos)), _raw=True)
-        G = Matrix(base, [self.power_products(m)], shape=(1, len(row)), _raw=True)
+        X = Matrix(base, rows, shape=(len(row), len(combos)))
+        G = Matrix(base, [self.power_products(m)], shape=(1, len(row)))
         for x, p in zip((G * X).rows[0], self.power_products(n)):
             if not self.ambient.is_zero_vec([base.sub(x, p)]):
                 raise AssertionError("generator products do not multiply out")
@@ -223,17 +231,22 @@ def transition_map(upper: TowerLevel, lower: TowerLevel) -> ArrowMap:
     return ArrowMap(upper.arrow, lower.arrow, top, bottom)
 
 
+def tower_levels(ideal: SmithIdeal, N: int):
+    """Levels 0..N alone, for checks that use no transitions."""
+    if N < 0:
+        raise ValueError("tower bound must be >= 0")
+    return [truncate(ideal, n) for n in range(N + 1)]
+
+
 class Tower:
     """Levels 0..N with certified epic transitions."""
 
     __slots__ = ("ideal", "N", "levels", "transitions", "transitions_epi")
 
     def __init__(self, ideal: SmithIdeal, N: int):
-        if N < 0:
-            raise ValueError("tower bound must be >= 0")
         self.ideal = ideal
         self.N = N
-        self.levels = [truncate(ideal, n) for n in range(N + 1)]
+        self.levels = tower_levels(ideal, N)
         self.transitions = {}
         self.transitions_epi = {}
         for n in range(1, N + 1):
@@ -242,9 +255,6 @@ class Tower:
                 raise AssertionError("transition does not commute with localization")
             self.transitions[n] = tr
             self.transitions_epi[n] = tr.is_epi()
-
-    def level(self, n: int) -> TowerLevel:
-        return self.levels[n]
 
     def describe(self):
         out = []
@@ -256,11 +266,11 @@ class Tower:
         return out
 
 
-def truncated_ideal(ideal: SmithIdeal, N: int) -> SmithIdeal:
-    """The level-N data as a SmithIdeal again (the Lambda surrogate)."""
-    lv = truncate(ideal, N)
-    h = lv.arrow.cod.rel.rows[0][0] if lv.arrow.cod.rel.n else None
-    return SmithIdeal(ideal.algebra, ideal.gens, ambient_modulus=h)
+def truncated_ideal(ideal: SmithIdeal, lv: TowerLevel) -> SmithIdeal:
+    """The data of ``lv``, a level of ``ideal``, as a SmithIdeal again
+    (the Lambda surrogate): the same generators in A/I^{n+1}."""
+    rel = lv.arrow.cod.rel
+    return SmithIdeal(ideal.algebra, ideal.gens, ambient_modulus=rel.rows[0][0] if rel.n else None)
 
 
 def localization_to_truncation(ideal: SmithIdeal, trunc: SmithIdeal) -> ArrowMap:
@@ -277,7 +287,9 @@ def localization_to_truncation(ideal: SmithIdeal, trunc: SmithIdeal) -> ArrowMap
 
 class GradedPiece:
     """I^n/I^{n+1} with its two certificates: the comparison from
-    (A/I) tensor I^n, and the kernel-of-transition short exact sequence."""
+    (A/I) tensor I^n, and the kernel-of-transition short exact sequence.
+    Levels n and n-1 and the transition between them come from ``tower``,
+    which must reach level n."""
 
     __slots__ = (
         "n",
@@ -292,37 +304,33 @@ class GradedPiece:
         "kernel_matches_graded",
     )
 
-    def __init__(self, ideal: SmithIdeal, n: int):
-        base = ideal.base
+    def __init__(self, tower: Tower, n: int):
+        ideal = tower.ideal
         In, _ = ideal.power(n)
-        gr, proj = quotient(In, ideal.product_coords(n, n + 1))
+        gr, _ = quotient(In, ideal.product_coords(n, n + 1))
         self.n = n
         self.module = gr
 
-        AmodI, _ = quotient(ideal.ambient, ideal.gen_mat)
-        T = tensor(AmodI, In)
-        self.comparison = FPMap(T, gr, Matrix.identity(base, In.ngens))
+        # Level 0 of the tower is I/I -> A/I.
+        T = tensor(tower.levels[0].arrow.cod, In)
+        self.comparison = FPMap(T, gr, Matrix.identity(ideal.base, In.ngens))
         self.comparison_is_iso = self.comparison.is_iso()
 
-        upper = truncate(ideal, n)
-        lower = truncate(ideal, n - 1) if n >= 1 else None
-        if lower is None:
-            z = embed("U0", FPModule.zero(ideal.algebra))
-            tr = ArrowMap(
-                upper.arrow,
-                z,
-                FPMap.zero(upper.arrow.dom, z.dom),
-                FPMap.zero(upper.arrow.cod, z.cod),
-            )
+        if n >= 1:
+            tr = tower.transitions[n]
+            epi = tower.transitions_epi[n]
         else:
-            tr = transition_map(upper, lower)
+            upper = tower.levels[0].arrow
+            z = embed("U0", FPModule.zero(ideal.algebra))
+            tr = ArrowMap(upper, z, FPMap.zero(upper.dom, z.dom), FPMap.zero(upper.cod, z.cod))
+            epi = tr.is_epi()
         self.transition = tr
         k, incl = tr.kernel()
         self.kernel_arrow = k
         self.kernel_incl = incl
         self.ses_exact = (
             incl.is_mono()
-            and tr.is_epi()
+            and epi
             and is_exact_pair(incl.top, tr.top)
             and is_exact_pair(incl.bottom, tr.bottom)
         )
@@ -351,19 +359,11 @@ class GradedPiece:
         }
 
 
-def graded_piece(ideal: SmithIdeal, n: int) -> GradedPiece:
-    return GradedPiece(ideal, n)
-
-
-def ker_tower_kernel_is_shifted_embed(ideal: SmithIdeal, n: int) -> bool:
+def ker_tower_kernel_is_shifted_embed(tower: Tower, n: int) -> bool:
     """After the kernel functor, the transition kernel becomes the
-    (0 -> graded piece) embed: certified for n >= 1."""
-    upper = truncate(ideal, n)
-    lower = truncate(ideal, n - 1)
-    tr = transition_map(upper, lower)
-    kt = ker_arrow_map(tr)
-    k, _ = kt.kernel()
-    gr = GradedPiece(ideal, n).module
+    (0 -> graded piece) embed: certified for 1 <= n <= tower.N."""
+    k, _ = ker_arrow_map(tower.transitions[n]).kernel()
+    gr = GradedPiece(tower, n).module
     return k.dom.is_zero_module() and are_isomorphic(k.cod, gr)
 
 
@@ -373,7 +373,7 @@ def ker_tower_kernel_is_shifted_embed(ideal: SmithIdeal, n: int) -> bool:
 class ModuleTower:
     """Levels P^n(j) box (0 -> M) = (I/I^{n+1} (x) M -> A/I^{n+1} (x) M)."""
 
-    __slots__ = ("ideal", "M", "N", "levels", "transitions", "transitions_epi")
+    __slots__ = ("ideal", "M", "N", "tower", "levels", "transitions", "transitions_epi")
 
     def __init__(self, ideal: SmithIdeal, M: FPModule, N: int):
         if M.algebra != ideal.algebra:
@@ -382,15 +382,13 @@ class ModuleTower:
         self.M = M
         self.N = N
         LM = embed("L1", M)
-        base_tower = Tower(ideal, N)
-        self.levels = [pushout_product(base_tower.level(n).arrow, LM) for n in range(N + 1)]
+        self.tower = Tower(ideal, N)
+        self.levels = [pushout_product(lv.arrow, LM) for lv in self.tower.levels]
         self.transitions = {}
         self.transitions_epi = {}
         idLM = ArrowMap.identity(LM)
         for n in range(1, N + 1):
-            tr = box_arrow_maps(base_tower.transitions[n], idLM)
-            if not (tr.source == self.levels[n] and tr.target == self.levels[n - 1]):
-                raise AssertionError("module tower transition endpoints drifted")
+            tr = box_arrow_maps(self.tower.transitions[n], idLM, self.levels[n], self.levels[n - 1])
             self.transitions[n] = tr
             self.transitions_epi[n] = tr.is_epi()
 
@@ -412,13 +410,15 @@ class ModuleTower:
 
 
 class LevelVerdict:
-    """Per-level pass/fail evidence with an overall flag."""
+    """Per-level pass/fail evidence with an overall flag, and the
+    certified map of each level (None where there is none)."""
 
-    __slots__ = ("kind", "entries", "ok", "first_failure")
+    __slots__ = ("kind", "entries", "maps", "ok", "first_failure")
 
-    def __init__(self, kind: str, entries):
+    def __init__(self, kind: str, entries, maps):
         self.kind = kind
         self.entries = list(entries)
+        self.maps = list(maps)
         fails = [e["level"] for e in self.entries if not e["ok"]]
         self.ok = not fails
         self.first_failure = fails[0] if fails else None
@@ -432,28 +432,22 @@ class LevelVerdict:
         }
 
 
-def induced_level_map(src: SmithIdeal, dst: SmithIdeal, phi: ArrowMap, n: int):
-    """P^n(phi) between the level-n truncations, or None with a reason
-    when phi does not descend (the bottom must carry I^{n+1} into I'^{n+1})."""
-    up_s = truncate(src, n)
-    up_d = truncate(dst, n)
-    try:
-        bottom = FPMap(up_s.arrow.cod, up_d.arrow.cod, phi.bottom.mat)
-        top = FPMap(up_s.arrow.dom, up_d.arrow.dom, phi.top.mat)
-        return ArrowMap(up_s.arrow, up_d.arrow, top, bottom), None
-    except ValueError as e:
-        return None, str(e)
-
-
-def check_analytic_equivalence(src: SmithIdeal, dst: SmithIdeal, phi: ArrowMap, N: int) -> LevelVerdict:
-    """Is P^n(phi) an isomorphism for every n <= N?"""
-    if phi.source != src.j or phi.target != dst.j:
-        raise ValueError("map endpoints must be the two ideal inclusions")
-
-    def entry(n):
-        lv, reason = induced_level_map(src, dst, phi, n)
-        if lv is None:
-            return {"level": n, "ok": False, "obstruction": {"descent": reason}}
+def _level_map_verdict(kind: str, src_levels, dst_levels, phi: ArrowMap) -> LevelVerdict:
+    """Is P^n(phi), the map phi induces between the two level-n
+    truncations, an isomorphism at every level?  It does not exist when
+    phi does not descend (the bottom must carry I^{n+1} into I'^{n+1})."""
+    entries, maps = [], []
+    for up_s, up_d in zip(src_levels, dst_levels):
+        n = up_s.n
+        try:
+            bottom = FPMap(up_s.arrow.cod, up_d.arrow.cod, phi.bottom.mat)
+            top = FPMap(up_s.arrow.dom, up_d.arrow.dom, phi.top.mat)
+            lv = ArrowMap(up_s.arrow, up_d.arrow, top, bottom)
+        except ValueError as err:
+            maps.append(None)
+            entries.append({"level": n, "ok": False, "obstruction": {"descent": str(err)}})
+            continue
+        maps.append(lv)
         iso = lv.is_iso()
         e = {"level": n, "ok": iso}
         if not iso:
@@ -463,24 +457,30 @@ def check_analytic_equivalence(src: SmithIdeal, dst: SmithIdeal, phi: ArrowMap, 
                 "algebra_source": _factors(lv.source.cod),
                 "algebra_target": _factors(lv.target.cod),
             }
-        return e
+        entries.append(e)
+    return LevelVerdict(kind, entries, maps)
 
-    return LevelVerdict("analytic-equivalence", [entry(n) for n in range(N + 1)])
+
+def check_analytic_equivalence(src: SmithIdeal, dst: SmithIdeal, phi: ArrowMap, N: int) -> LevelVerdict:
+    """Is P^n(phi) an isomorphism for every n <= N?"""
+    if phi.source != src.j or phi.target != dst.j:
+        raise ValueError("map endpoints must be the two ideal inclusions")
+    return _level_map_verdict("analytic-equivalence", tower_levels(src, N), tower_levels(dst, N), phi)
 
 
 def check_complete(ideal: SmithIdeal, N: int) -> LevelVerdict:
     """Level-wise completeness: re-truncating the level-N data at each
     m <= N reproduces P^m(j) by a certified iso."""
-    trunc = truncated_ideal(ideal, N)
+    levels = tower_levels(ideal, N)
+    trunc = truncated_ideal(ideal, levels[N])
     loc = localization_to_truncation(ideal, trunc)
-    verdict = check_analytic_equivalence(ideal, trunc, loc, N)
-    return LevelVerdict("complete", verdict.entries)
+    return _level_map_verdict("complete", levels, tower_levels(trunc, N), loc)
 
 
 def truncation_composition(ideal: SmithIdeal, m: int, n: int):
     """(comparison ArrowMap P^m(P^n(j)) -> P^{min(m,n)}(j), iso flag)."""
     base = ideal.base
-    trunc = truncated_ideal(ideal, n)
+    trunc = truncated_ideal(ideal, truncate(ideal, n))
     outer = truncate(trunc, m)
     direct = truncate(ideal, min(m, n))
     top = FPMap(outer.arrow.dom, direct.arrow.dom, Matrix.identity(base, outer.arrow.dom.ngens))
@@ -489,66 +489,69 @@ def truncation_composition(ideal: SmithIdeal, m: int, n: int):
     return cmp_map, cmp_map.is_iso()
 
 
-def check_module_complete(ideal: SmithIdeal, M: FPModule, N: int) -> LevelVerdict:
+def check_module_complete(mt: ModuleTower) -> LevelVerdict:
     """Tower-of-module consistency: levels built from the truncated
-    ideal agree with levels built from j itself, certified per level."""
-    LM = embed("L1", M)
-    trunc = truncated_ideal(ideal, N)
-
-    def entry(n):
-        direct = pushout_product(truncate(ideal, n).arrow, LM)
-        redone = pushout_product(truncate(trunc, n).arrow, LM)
-        base = ideal.base
+    ideal agree with the levels of ``mt``, built from j itself,
+    certified per level."""
+    LM = embed("L1", mt.M)
+    base = mt.ideal.base
+    trunc = truncated_ideal(mt.ideal, mt.tower.levels[mt.N])
+    entries, maps = [], []
+    for n, (direct, lv) in enumerate(zip(mt.levels, tower_levels(trunc, mt.N))):
+        redone = pushout_product(lv.arrow, LM)
         try:
             top = FPMap(redone.dom, direct.dom, Matrix.identity(base, redone.dom.ngens))
             bottom = FPMap(redone.cod, direct.cod, Matrix.identity(base, redone.cod.ngens))
             cmp_map = ArrowMap(redone, direct, top, bottom)
-            return {"level": n, "ok": cmp_map.is_iso()}
-        except ValueError as e:
-            return {"level": n, "ok": False, "obstruction": {"comparison": str(e)}}
-
-    return LevelVerdict("module-complete", [entry(n) for n in range(N + 1)])
+            entry = {"level": n, "ok": cmp_map.is_iso()}
+        except ValueError as err:
+            cmp_map = None
+            entry = {"level": n, "ok": False, "obstruction": {"comparison": str(err)}}
+        maps.append(cmp_map)
+        entries.append(entry)
+    return LevelVerdict("module-complete", entries, maps)
 
 
 # -- power comparison routes ------------------------------------------
 
 
-def yekutieli_compare(ideal: SmithIdeal, n: int, N: int):
-    """Three routes to I^n at truncation level N, with certified maps.
+def yekutieli_compare(ideal: SmithIdeal, N: int):
+    """Three routes to I^n at truncation level N, for n = 1, ..., N,
+    with certified maps; one entry per n.
 
     (a) the image of I^n inside A/I^{N+1};
     (b) the n-th power of the truncated ideal (image of I in A/I^{N+1});
     (c) the truncated quotient I^n/I^{N+1} built inside I^n itself.
     """
-    if not 1 <= n <= N:
-        raise ValueError("need 1 <= n <= N")
+    if N < 1:
+        raise ValueError("power routes need N >= 1")
     base = ideal.base
     lvN = truncate(ideal, N)
     Abar = lvN.arrow.cod
+    trunc = truncated_ideal(ideal, lvN)
 
-    prods_a = ideal.power_products(n)
-    Ga = Matrix(base, [prods_a], shape=(1, len(prods_a)))
-    route_a, _ = submodule(Abar, Ga)
+    def entry(n):
+        prods_a = ideal.power_products(n)
+        route_a, _ = submodule(Abar, Matrix(base, [prods_a], shape=(1, len(prods_a))))
+        route_b, _ = trunc.power(n)
+        In, _ = ideal.power(n)
+        route_c, _ = quotient(In, ideal.product_coords(n, N + 1))
 
-    trunc = truncated_ideal(ideal, N)
-    route_b, _ = trunc.power(n)
+        k = route_a.ngens
+        map_ab = FPMap(route_a, route_b, Matrix.identity(base, k))
+        map_bc = FPMap(route_b, route_c, Matrix.identity(base, k))
+        composite = map_bc * map_ab
+        return {
+            "n": n,
+            "level": N,
+            "routes": {
+                "power_image": route_a.describe(),
+                "truncated_power": route_b.describe(),
+                "quotient_limit": route_c.describe(),
+            },
+            "map_image_to_power_iso": map_ab.is_iso(),
+            "map_power_to_limit_iso": map_bc.is_iso(),
+            "composite_iso": composite.is_iso(),
+        }
 
-    In, _ = ideal.power(n)
-    route_c, _ = quotient(In, ideal.product_coords(n, N + 1))
-
-    k = route_a.ngens
-    map_ab = FPMap(route_a, route_b, Matrix.identity(base, k))
-    map_bc = FPMap(route_b, route_c, Matrix.identity(base, k))
-    composite = map_bc * map_ab
-    return {
-        "n": n,
-        "level": N,
-        "routes": {
-            "power_image": route_a.describe(),
-            "truncated_power": route_b.describe(),
-            "quotient_limit": route_c.describe(),
-        },
-        "map_image_to_power_iso": map_ab.is_iso(),
-        "map_power_to_limit_iso": map_bc.is_iso(),
-        "composite_iso": composite.is_iso(),
-    }
+    return [entry(n) for n in range(1, N + 1)]

@@ -36,12 +36,12 @@ from adic_smith.oracle import (
 )
 from adic_smith.rings import GF, QQ, IntegerRing, PolyRing
 from adic_smith.tower import (
+    GradedPiece,
     ModuleTower,
     SmithIdeal,
     Tower,
     check_complete,
     check_module_complete,
-    graded_piece,
     truncation_composition,
     yekutieli_compare,
 )
@@ -149,16 +149,15 @@ def test_criterion_03_tower_fixtures():
         for R in (Qx, F2x)
     ]
     for ideal, gfac, bottom in fixtures:
-        levels = Tower(ideal, N).describe()
-        for n, lv in enumerate(levels):
+        tower = Tower(ideal, N)
+        for n, lv in enumerate(tower.describe()):
             ok &= lv["invariant_factors_algebra"] == [bottom(n)]
             ok &= lv["power_map_vanishes"] and lv.get("transition_epi", True)
         for n in range(N + 1):
-            g = graded_piece(ideal, n).describe()
+            g = GradedPiece(tower, n).describe()
             ok &= g["graded_invariant_factors"] == [gfac]
             ok &= g["comparison_is_iso"]
-        for n in range(1, N + 1):
-            y = yekutieli_compare(ideal, n, N)
+        for y in yekutieli_compare(ideal, N):
             ok &= y["map_image_to_power_iso"] and y["map_power_to_limit_iso"] and y["composite_iso"]
     _verdict(3, "five towers at N=6: bottoms, graded pieces, power routes", ok)
 
@@ -192,8 +191,9 @@ def test_criterion_04_graded_exact_sequences():
     assert len(pairs) >= 12
     failures = 0
     for ideal in pairs:
+        tower = Tower(ideal, 5)
         for n in range(6):
-            g = graded_piece(ideal, n).describe()
+            g = GradedPiece(tower, n).describe()
             good = (
                 g["transition_kernel_ses_exact"]
                 and g["comparison_is_iso"]
@@ -216,8 +216,8 @@ def test_criterion_05_completeness_and_idempotence():
         free = FPModule(ideal.base, 1)
         torsion = FPModule(ideal.base, 1, [[ideal.base.mul(g, g)] for g in ideal.gens])
         for M in (free, torsion):
-            ok &= check_module_complete(ideal, M, 5).ok
             mt = ModuleTower(ideal, M, 5)
+            ok &= check_module_complete(mt).ok
             ok &= all(mt.transitions_epi.values())
     for ideal in pairs:
         for m in range(6):

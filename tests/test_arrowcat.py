@@ -218,12 +218,13 @@ def test_box_functorial_on_squares():
     b = mono_2_in_8()
     ida = ArrowMap.identity(a)
     idb = ArrowMap.identity(b)
-    boxed = box_arrow_maps(ida, idb)
-    assert boxed == ArrowMap.identity(pushout_product(a, b))
+    ab = pushout_product(a, b)
+    boxed = box_arrow_maps(ida, idb, ab, ab)
+    assert boxed == ArrowMap.identity(ab)
     # composition preserved on a nonidentity square
     phi = ArrowMap(a, a, FPMap.scalar(Z2, 3), FPMap.scalar(Z4, 3))
-    lhs = box_arrow_maps(phi, idb) * box_arrow_maps(phi, idb)
-    rhs = box_arrow_maps(phi * phi, idb * idb)
+    lhs = box_arrow_maps(phi, idb, ab, ab) * box_arrow_maps(phi, idb, ab, ab)
+    rhs = box_arrow_maps(phi * phi, idb * idb, ab, ab)
     assert lhs == rhs
 
 

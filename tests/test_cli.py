@@ -363,6 +363,28 @@ def test_negative_depth_refused():
     check_exit2(["almost", "--depth", "-1"], "input error: --depth: must be >= 0, got -1")
 
 
+BELOW_ONE_RUNS = [
+    (["--max-order", "-3"], "--max-order", -3),
+    (["--max-order", "0"], "--max-order", 0),
+    (["--pair-bound", "0", "--triple-bound", "0"], "--pair-bound", 0),
+    (["--triple-bound", "0"], "--triple-bound", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "extra,flag,value", BELOW_ONE_RUNS, ids=["max-order-neg", "max-order-zero", "pair-triple-zero", "triple-zero"]
+)
+def test_corpus_bounds_below_one_refused(extra, flag, value):
+    check_exit2(["verify-laws", "--ring", "z2"] + extra, f"input error: {flag}: must be >= 1, got {value}")
+
+
+def test_monomial_field_not_prime_names_ring():
+    check_exit2(
+        ["tower", "--engine", "monomial", "--ideal", "x^2", "--vars", "x", "--ring", "F4"],
+        "input error: --ring: not a prime: 4",
+    )
+
+
 def test_verify_laws_bad_ring():
     check_exit2(["verify-laws", "--ring", "zz"], "law corpora exist over")
 
@@ -374,6 +396,52 @@ def test_verify_laws_bad_law():
 def test_unknown_command_is_usage_error():
     code, _, _ = run_cli(["frobnicate"])
     assert code == 2
+
+
+# -- work per command -------------------------------------------------
+
+L = 3
+# argv (with "@" for the document) -> (truncations, pushout products,
+# SmithIdeal constructions besides the document's own).  Each level is
+# built once per command: the tower of j has L+1 levels at --levels L,
+# and a check against the truncated ideal builds L+1 more.
+WORK_PER_COMMAND = [
+    (["tower", "--input", "@", "--ideal", "p2"], (L + 1, 0, 0)),
+    (["graded", "--input", "@", "--ideal", "p2"], (L + 1, 0, 0)),
+    (["complete-check", "--input", "@", "--ideal", "p2"], (2 * L + 2, 0, 1)),
+    (["complete-check", "--input", "@", "--ideal", "p2", "--with-certificates"], (2 * L + 2, 0, 1)),
+    (["analytic-check", "--input", "@", "--map", "embed", "--with-certificates"], (2 * L + 2, 0, 0)),
+    (["adic-module", "--input", "@", "--ideal", "p2", "--module", "T8"], (2 * L + 2, 2 * L + 2, 1)),
+    (["yekutieli", "--input", "@", "--ideal", "p2"], (1, 0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    WORK_PER_COMMAND,
+    ids=["tower", "graded", "complete", "complete-cert", "analytic-cert", "adic-module", "yekutieli"],
+)
+def test_each_level_built_once_per_command(doc, monkeypatch, argv, expected):
+    from adic_smith import arrowcat, tower
+
+    counts = {"truncate": 0, "pushout_product": 0, "ideal": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(tower, "truncate", counted(tower.truncate, "truncate"))
+    box = counted(arrowcat.pushout_product, "pushout_product")
+    monkeypatch.setattr(tower, "pushout_product", box)
+    monkeypatch.setattr(arrowcat, "pushout_product", box)
+    monkeypatch.setattr(SmithIdeal, "__init__", counted(SmithIdeal.__init__, "ideal"))
+    code, out, err = run_cli([doc if a == "@" else a for a in argv] + ["--levels", str(L)])
+    assert code in (0, 1) and out and not err, err
+    got = (counts["truncate"], counts["pushout_product"], counts["ideal"] - len(GOOD_DOC["ideals"]))
+    assert got == expected
 
 
 # -- output discipline ------------------------------------------------

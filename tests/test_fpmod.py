@@ -136,6 +136,28 @@ def test_map_matrix_stored_reduced():
     assert f.mat.rows[0][0] == 3
 
 
+@pytest.mark.parametrize("ring_key", ["F2x", "Qx"])
+def test_public_entries_coerce_payloads(ring_key):
+    """Matrix does not coerce; FPModule, FPMap from rows, FPMap.scalar
+    and FPMap.__call__ take plain ints and store canonical payloads."""
+    R = SMALL_RINGS[ring_key]
+    coeff = type(R.field.one)
+
+    def canonical(x):
+        return isinstance(x, tuple) and all(type(c) is coeff for c in x) and x == R.coerce_payload(x)
+
+    M = FPModule(R, 2, [[0, 0]])
+    f = FPMap(M, M, [[1, 0], [3, 1]])
+    assert f.mat.rows == ((R.one, R.zero), (R.from_int(3), R.one))
+    assert all(canonical(x) for r in f.mat.rows for x in r)
+    assert all(canonical(x) for r in FPMap.scalar(M, 5).mat.rows for x in r)
+    assert all(canonical(x) for x in f([1, 1]))
+    with pytest.raises(ValueError):
+        FPMap(M, M, [["x", 0], [0, 1]])
+    with pytest.raises(ValueError):
+        FPModule(R, 1, [["x"]])
+
+
 def test_scalar_and_algebra_on_maps():
     M = FPModule(ZZ, 2, [[4, 0], [0, 4]])
     two = FPMap.scalar(M, 2)

@@ -13,7 +13,7 @@ from adic_smith.monomial import (
     quotient_basis,
     transition_is_epi,
 )
-from adic_smith.tower import SmithIdeal, Tower, graded_piece
+from adic_smith.tower import GradedPiece, SmithIdeal, Tower
 
 
 def test_minimalize_antichain():
@@ -107,11 +107,11 @@ def test_single_variable_matches_pid_engine(ring_key, label, power):
     tower = Tower(pid, N)
     rep = monomial_tower(mono, N)
     for n in range(N + 1):
-        lv = tower.level(n)
+        lv = tower.levels[n]
         mlv = rep["levels"][n]
         assert lv.arrow.cod.dim_over_field() == mlv["algebra_dim"], n
         assert lv.arrow.dom.dim_over_field() == mlv["ideal_dim"], n
-        assert graded_piece(pid, n).module.dim_over_field() == mlv["graded_dim"], n
+        assert GradedPiece(tower, n).module.dim_over_field() == mlv["graded_dim"], n
 
 
 def test_parse_and_format_round_trip():

@@ -17,15 +17,16 @@ from adic_smith.fpmod import FPMap, FPModule, are_isomorphic, quotient
 from adic_smith.arrowcat import ArrowMap
 from adic_smith.linalg import Matrix, hstack, solve_matrix
 from adic_smith.tower import (
+    GradedPiece,
     ModuleTower,
     SmithIdeal,
     Tower,
     check_analytic_equivalence,
     check_complete,
     check_module_complete,
-    graded_piece,
     ker_tower_kernel_is_shifted_embed,
     localization_to_truncation,
+    tower_levels,
     truncate,
     truncated_ideal,
     truncation_composition,
@@ -57,7 +58,7 @@ def test_generators_stored_reduced():
     assert I.gens == (2,)
     assert I.ambient_relation() == 8
     neg = Tower(SmithIdeal(ZZ, [-2]), 2)
-    assert neg.level(1).arrow.cod.invariant_factors() == [4]
+    assert neg.levels[1].arrow.cod.invariant_factors() == [4]
 
 
 def test_two_nilpotence_predicates_differ():
@@ -71,11 +72,11 @@ def test_two_nilpotence_predicates_differ():
 
 def test_unit_and_zero_ideal_edges():
     unit = Tower(SmithIdeal(ZZ, [1]), 2)
-    assert unit.level(2).arrow.cod.is_zero_module()
+    assert unit.levels[2].arrow.cod.is_zero_module()
     assert all(unit.transitions_epi.values())
     zero = Tower(SmithIdeal(ZZ, []), 2)
-    assert zero.level(1).arrow.dom.is_zero_module()
-    assert zero.level(1).arrow.cod.structure() == (1, ())
+    assert zero.levels[1].arrow.dom.is_zero_module()
+    assert zero.levels[1].arrow.cod.structure() == (1, ())
     assert all(zero.transitions_epi.values())
 
 
@@ -123,7 +124,7 @@ def test_towers_and_graded_pieces_never_build_tensor_powers(monkeypatch):
         assert d["invariant_factors_ideal"] == [] and d["invariant_factors_algebra"] == []
         assert d["power_map_vanishes"] and d.get("transition_epi", True)
     # (12, 20, 30, 8) = (2): I^5/I^6 = (32)/(64) is Z/2.
-    g = graded_piece(SmithIdeal(ZZ, [12, 20, 30, 8]), 5)
+    g = GradedPiece(Tower(SmithIdeal(ZZ, [12, 20, 30, 8]), 5), 5)
     assert g.module.invariant_factors() == [2]
     assert g.comparison_is_iso and g.ses_exact and g.kernel_matches_graded
 
@@ -168,7 +169,7 @@ def test_tower_of_two_in_z_frozen():
 def test_prime_towers_bottom_values(p):
     tw = Tower(SmithIdeal(ZZ, [p]), 4)
     for n in range(5):
-        lv = tw.level(n)
+        lv = tw.levels[n]
         assert lv.arrow.cod.invariant_factors() == [p ** (n + 1)]
         assert lv.arrow.dom.invariant_factors() == ([p**n] if n else [])
         assert lv.power_map_vanishes
@@ -180,7 +181,7 @@ def test_variable_ideal_towers(ring_key):
     ring = SMALL_RINGS[ring_key]
     tw = Tower(SmithIdeal(ring, [x_pow(ring, 1)]), 3)
     for n in range(4):
-        lv = tw.level(n)
+        lv = tw.levels[n]
         assert lv.arrow.cod.invariant_factors() == [x_pow(ring, n + 1)]
         assert lv.arrow.dom.invariant_factors() == ([x_pow(ring, n)] if n else [])
     assert all(tw.transitions_epi.values())
@@ -199,7 +200,7 @@ def test_localization_commutes_by_construction():
     I = SmithIdeal(ZZ, [3])
     tw = Tower(I, 2)
     for n in range(3):
-        loc = tw.level(n).loc
+        loc = tw.levels[n].loc
         assert loc.source == I.j
         assert loc.bottom.is_surjective()
 
@@ -208,9 +209,9 @@ def test_localization_commutes_by_construction():
 
 
 def test_graded_pieces_of_two_in_z():
-    I = SmithIdeal(ZZ, [2])
+    tw = Tower(SmithIdeal(ZZ, [2]), 3)
     for n in range(4):
-        g = graded_piece(I, n)
+        g = GradedPiece(tw, n)
         assert g.module.invariant_factors() == [2]
         assert g.comparison_is_iso
         assert g.ses_exact
@@ -220,25 +221,26 @@ def test_graded_pieces_of_two_in_z():
 
 def test_graded_pieces_over_polynomials():
     I = SmithIdeal(F2X, [x_pow(F2X, 1)])
-    g = graded_piece(I, 2)
+    g = GradedPiece(Tower(I, 2), 2)
     assert g.module.dim_over_field() == 1
     assert g.comparison_is_iso and g.ses_exact and g.kernel_matches_graded
 
 
 def test_graded_piece_with_ambient_relation():
     I = SmithIdeal(ZZ, [2], ambient_modulus=8)
-    g = graded_piece(I, 1)
+    tw = Tower(I, 3)
+    g = GradedPiece(tw, 1)
     assert g.module.invariant_factors() == [2]
     assert g.ses_exact and g.comparison_is_iso
     # above the vanishing degree the graded piece is zero
-    g3 = graded_piece(I, 3)
+    g3 = GradedPiece(tw, 3)
     assert g3.module.is_zero_module()
 
 
 def test_kernel_after_ker_functor_is_shifted():
-    I = SmithIdeal(ZZ, [2])
-    assert ker_tower_kernel_is_shifted_embed(I, 1)
-    assert ker_tower_kernel_is_shifted_embed(I, 2)
+    tw = Tower(SmithIdeal(ZZ, [2]), 2)
+    assert ker_tower_kernel_is_shifted_embed(tw, 1)
+    assert ker_tower_kernel_is_shifted_embed(tw, 2)
 
 
 # -- completeness and idempotence -------------------------------------
@@ -254,7 +256,7 @@ def test_check_complete_small():
 
 def test_truncated_ideal_round_trip():
     I = SmithIdeal(ZZ, [2])
-    T = truncated_ideal(I, 3)
+    T = truncated_ideal(I, truncate(I, 3))
     assert T.ambient_relation() == 16
     loc = localization_to_truncation(I, T)
     assert loc.bottom.is_surjective()
@@ -336,8 +338,8 @@ def test_module_tower_free_module():
 
 def test_check_module_complete():
     I = SmithIdeal(ZZ, [2])
-    assert check_module_complete(I, FPModule.cyclic(ZZ, 6), 3).ok
-    assert check_module_complete(I, FPModule.free(ZZ, 1), 2).ok
+    assert check_module_complete(ModuleTower(I, FPModule.cyclic(ZZ, 6), 3)).ok
+    assert check_module_complete(ModuleTower(I, FPModule.free(ZZ, 1), 2)).ok
 
 
 # -- yekutieli routes -------------------------------------------------
@@ -346,7 +348,8 @@ def test_check_module_complete():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_yekutieli_routes_integer(n):
     I = SmithIdeal(ZZ, [2])
-    out = yekutieli_compare(I, n, 4)
+    out = yekutieli_compare(I, 4)[n - 1]
+    assert out["n"] == n and out["level"] == 4
     assert out["map_image_to_power_iso"]
     assert out["map_power_to_limit_iso"]
     assert out["composite_iso"]
@@ -356,17 +359,18 @@ def test_yekutieli_routes_integer(n):
 
 def test_yekutieli_routes_polynomial():
     I = SmithIdeal(F2X, [x_pow(F2X, 1)])
-    out = yekutieli_compare(I, 2, 3)
+    out = yekutieli_compare(I, 3)[1]
     assert out["composite_iso"]
     assert all(r["dim_over_coefficients"] == 2 for r in out["routes"].values())
 
 
 def test_yekutieli_rejects_bad_range():
     I = SmithIdeal(ZZ, [2])
-    with pytest.raises(ValueError, match="1 <= n <= N"):
-        yekutieli_compare(I, 0, 3)
-    with pytest.raises(ValueError, match="1 <= n <= N"):
-        yekutieli_compare(I, 4, 3)
+    with pytest.raises(ValueError, match="N >= 1"):
+        yekutieli_compare(I, 0)
+    with pytest.raises(ValueError, match="N >= 1"):
+        yekutieli_compare(I, -1)
+    assert [e["n"] for e in yekutieli_compare(I, 3)] == [1, 2, 3]
 
 
 # -- closed-form product coordinates ----------------------------------
@@ -437,7 +441,9 @@ def test_product_coords_range():
     with pytest.raises(ValueError):
         truncate(I, -1)
     with pytest.raises(ValueError):
-        truncated_ideal(I, -1)
+        truncated_ideal(I, truncate(I, -1))
+    with pytest.raises(ValueError):
+        tower_levels(I, -1)
 
 
 def test_graded_rels_of_unit_ideals_frozen():
@@ -447,12 +453,13 @@ def test_graded_rels_of_unit_ideals_frozen():
         (SmithIdeal(ZZ, [6, 10, 15, 4]), 6),
         (SmithIdeal(F2X, [F2X.parse(g) for g in ("x^2+x", "x^3", "x^2+1")]), 2),
     ):
+        tw = Tower(I, top)
         for n in range(top + 1):
-            rel = graded_piece(I, n).module.rel
+            rel = GradedPiece(tw, n).module.rel
             assert rel == Matrix.identity(I.base, len(I.power_products(n))), n
 
 
-# md5 of repr(rel.rows) of graded_piece(I, n).module, n = 0, 1, ...,
+# md5 of repr(rel.rows) of GradedPiece(Tower(I, N), n).module, n = 0, 1, ...,
 # frozen before the closed-form coordinates replaced the SNF solve.
 FROZEN_GRADED_RELS = [
     ((ZZ, [12, 20, 30, 8], None), [
@@ -483,7 +490,7 @@ FROZEN_GRADED_RELS = [
 def test_graded_rels_frozen(spec, digests):
     ring, gens, amb = spec
     gens = [ring.parse(g) if isinstance(g, str) else g for g in gens]
-    I = SmithIdeal(ring, gens, ambient_modulus=amb)
+    tw = Tower(SmithIdeal(ring, gens, ambient_modulus=amb), len(digests) - 1)
     for n, digest in enumerate(digests):
-        rel = graded_piece(I, n).module.rel
+        rel = GradedPiece(tw, n).module.rel
         assert hashlib.md5(repr(rel.rows).encode()).hexdigest() == digest, n
