@@ -3,7 +3,10 @@
 A document names rings, modules, ideals and maps; a command picks them
 up by name and emits one report, as JSON (sorted keys, stable byte
 output) or as flat key = value lines.  Exit status: 0 all checks
-passed, 1 a verdict failed, 2 the input or invocation was bad.
+passed, 1 a verdict failed, 2 the input or invocation was bad, 3 the
+program itself failed (any other exception, ``MemoryError`` and
+``RecursionError`` included), reported as one ``internal error:`` line
+on stderr with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .oracle import FiniteCorpus, check_monoidal_laws, LAW_NAMES
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(ValueError):
@@ -225,14 +229,23 @@ def _monomial_field(text: str):
     raise InputError("--ring", f"expected Q or F<p>, got {text!r}")
 
 
+def _var_names(text: str):
+    """The names of ``--vars``: distinct identifiers, comma-separated."""
+    names = [v.strip() for v in text.split(",")]
+    for name in names:
+        if not name.isidentifier():
+            raise InputError("--vars", f"not a variable name: {name!r}")
+    if len(set(names)) != len(names):
+        raise InputError("--vars", f"duplicate variable names in {text!r}")
+    return names
+
+
 def cmd_tower(args, doc):
     if args.engine == "monomial":
         if not args.ideal:
             raise InputError("--ideal", "monomial engine needs --ideal with comma-separated monomials")
-        names = [v.strip() for v in args.vars.split(",")] if args.vars else None
+        names = default_var_names(1) if args.vars is None else _var_names(args.vars)
         field = _monomial_field(args.ring or "F2")
-        if names is None:
-            names = default_var_names(1)
         try:
             gens = [parse_monomial(g, names) for g in args.ideal.split(",")]
             Rm = MonomialLocalRing(field, len(names), gens, names)
@@ -507,13 +520,14 @@ def main(argv=None) -> int:
     try:
         doc = load_document(args.input) if args.input else None
         report, ok = HANDLERS[args.command](args, doc)
-    except InputError as e:
-        sys.stderr.write(f"input error: {e}\n")
-        return EXIT_INPUT
+        text = emit(report, args.format)
     except ValueError as e:
         sys.stderr.write(f"input error: {e}\n")
         return EXIT_INPUT
-    sys.stdout.write(emit(report, args.format))
+    except Exception as e:
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
+        return EXIT_INTERNAL
+    sys.stdout.write(text)
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -51,10 +51,18 @@ class FPModule:
     )
 
     def __init__(self, algebra: Ring, ngens: int, rel_cols=()):
+        """``rel_cols`` is a list of relation columns, whose entries are
+        coerced, or a ``Matrix`` over the base ring, whose columns are
+        canonical already (see ``linalg``) and are taken as they are."""
         base, modulus = algebra_split(algebra)
-        cols = [[base.coerce_payload(x) for x in c] for c in rel_cols]
-        if any(len(c) != ngens for c in cols):
-            raise ValueError(f"relation length mismatch, wanted {ngens}")
+        if isinstance(rel_cols, Matrix):
+            if rel_cols.ring != base or rel_cols.m != ngens:
+                raise ValueError(f"relation matrix is not {ngens} rows over {base!r}")
+            cols = rel_cols.cols()
+        else:
+            cols = [[base.coerce_payload(x) for x in c] for c in rel_cols]
+            if any(len(c) != ngens for c in cols):
+                raise ValueError(f"relation length mismatch, wanted {ngens}")
         if modulus is not None:
             for i in range(ngens):
                 col = [base.zero] * ngens
@@ -387,15 +395,13 @@ def _solve_top(A: Matrix, B: Matrix, top: int):
 def submodule(M: FPModule, G: Matrix):
     """(S, incl) for the submodule of M spanned by the columns of G."""
     rel = _projected_kernel(hstack(G, M.rel), G.n)
-    S = FPModule(M.algebra, G.n, [rel.col(j) for j in range(rel.n)])
+    S = FPModule(M.algebra, G.n, rel)
     return S, FPMap(S, M, G, check=False)
 
 
 def quotient(M: FPModule, H: Matrix):
     """(Q, proj) for M divided by the span of the columns of H."""
-    cols = [M.rel.col(j) for j in range(M.rel.n)]
-    cols += [H.col(j) for j in range(H.n)]
-    Q = FPModule(M.algebra, M.ngens, cols)
+    Q = FPModule(M.algebra, M.ngens, hstack(M.rel, H))
     return Q, FPMap(M, Q, Matrix.identity(M.base, M.ngens), check=False)
 
 
@@ -437,7 +443,7 @@ def direct_sum(M: FPModule, N: FPModule):
         raise ValueError("sum needs a common algebra")
     base = M.base
     rel = block_diag(base, [M.rel, N.rel])
-    S = FPModule(M.algebra, M.ngens + N.ngens, [rel.col(j) for j in range(rel.n)])
+    S = FPModule(M.algebra, M.ngens + N.ngens, rel)
     im = Matrix.identity(base, M.ngens)
     im2 = Matrix.identity(base, N.ngens)
     zmn = Matrix.zeros(base, M.ngens, N.ngens)
@@ -458,10 +464,8 @@ def pushout(f: FPMap, g: FPMap):
         raise ValueError("pushout needs a common source")
     B, C = f.dst, g.dst
     base = B.base
-    rel = block_diag(base, [B.rel, C.rel])
-    glue = vstack(f.mat, -g.mat)
-    cols = [rel.col(j) for j in range(rel.n)] + [glue.col(j) for j in range(glue.n)]
-    P = FPModule(B.algebra, B.ngens + C.ngens, cols)
+    rel = hstack(block_diag(base, [B.rel, C.rel]), vstack(f.mat, -g.mat))
+    P = FPModule(B.algebra, B.ngens + C.ngens, rel)
     zbc = Matrix.zeros(base, C.ngens, B.ngens)
     zcb = Matrix.zeros(base, B.ngens, C.ngens)
     in_f = FPMap(B, P, vstack(Matrix.identity(base, B.ngens), zbc), check=False)
@@ -490,7 +494,7 @@ def tensor(M: FPModule, N: FPModule) -> FPModule:
     IM = Matrix.identity(base, M.ngens)
     IN = Matrix.identity(base, N.ngens)
     rel = hstack(kron(M.rel, IN), kron(IM, N.rel))
-    return FPModule(M.algebra, M.ngens * N.ngens, [rel.col(j) for j in range(rel.n)])
+    return FPModule(M.algebra, M.ngens * N.ngens, rel)
 
 
 def tensor_map(f: FPMap, g: FPMap, src: FPModule | None = None, dst: FPModule | None = None) -> FPMap:
@@ -541,7 +545,7 @@ class HomModule:
         rel = _projected_kernel(hstack(G, T), G.n)
         self.src = M
         self.dst = N
-        self.module = FPModule(M.algebra, G.n, [rel.col(j) for j in range(rel.n)])
+        self.module = FPModule(M.algebra, G.n, rel)
         self.G = G
         self._coords_cert = None
 
@@ -633,12 +637,7 @@ def minimal_decomposition(M: FPModule):
     ] + list(range(cert.rank, M.ngens))
     torsion = [diag[i] for i in keep if i < cert.rank]
     k = len(keep)
-    cols = []
-    for t, d in enumerate(torsion):
-        col = [base.zero] * k
-        col[t] = d
-        cols.append(col)
-    Mmin = FPModule(M.algebra, k, cols)
+    Mmin = FPModule(M.algebra, k, Matrix.diagonal(base, torsion, k, len(torsion)))
     to_mat = Matrix(base, [cert.U.rows[i] for i in keep], shape=(k, M.ngens))
     fro_mat = Matrix.from_cols(base, [cert.U_inv.col(i) for i in keep], M.ngens)
     to = FPMap(M, Mmin, to_mat, check=False)

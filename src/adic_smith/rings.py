@@ -18,6 +18,17 @@ All payloads are kept canonical at all times:
 * quotient payloads are reduced mod the canonical associate of the
   modulus (nonnegative for Z, monic for k[x])
 
+``PolyRing`` arithmetic relies on that contract instead of checking it.
+Coefficients are accumulated with Python's own ``+`` and ``*``, starting
+from ``field.zero`` (so Q[x] payloads keep ``Fraction`` zeros), and each
+output coefficient is reduced once at the end: ``% p`` over F_p, nothing
+over Q.  ``add`` and ``sub`` reduce only the coefficients both operands
+have, and ``mul`` and ``divmod_`` loop only over nonzero terms, which is
+what keeps the sparse payloads of the dyadic ladder (x -> x^(2^k)) cheap.
+Values from outside enter through ``coerce_payload``; the columns of a
+``linalg.Matrix`` are canonical, and ``fpmod.FPModule`` takes them as
+they are.
+
 No floating point is used anywhere.
 """
 
@@ -411,6 +422,13 @@ class ModRing(Ring):
         return {"kind": "mod", "n": self.n}
 
 
+def _strip(coeffs: list) -> tuple:
+    """The coefficient list without trailing zeros, as a payload tuple."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 class PolyRing(Ring):
     """k[x] with k = Q or F_p. Payloads are coefficient tuples
     (c0, c1, ..., cd) with cd != 0; the zero polynomial is ()."""
@@ -425,39 +443,68 @@ class PolyRing(Ring):
             raise ValueError(f"bad variable name: {var!r}")
         self.field = field
         self.variable = var
+        # the modulus coefficient sums are reduced by; 0 over Q, where
+        # Fraction arithmetic is already exact and canonical
+        self._p = field.p if isinstance(field, PrimeField) else 0
         self.zero = ()
         self.one = (field.one,)
         self.gen = (field.zero, field.one)
 
-    def _strip(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == self.field.zero:
-            coeffs.pop()
-        return tuple(coeffs)
-
     def add(self, a, b):
-        f = self.field
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return self._strip(out)
+        p = self._p
+        if p:
+            for i, c in enumerate(b):
+                out[i] = (out[i] + c) % p
+        else:
+            for i, c in enumerate(b):
+                out[i] += c
+        if len(a) == len(b):
+            while out and not out[-1]:
+                out.pop()
+        return tuple(out)
+
+    def sub(self, a, b):
+        n = len(a)
+        out = list(a)
+        if len(b) > n:
+            out += self.neg(b[n:])
+        p = self._p
+        if p:
+            for i, c in enumerate(b[:n]):
+                out[i] = (out[i] - c) % p
+        else:
+            for i, c in enumerate(b[:n]):
+                out[i] -= c
+        if len(b) == n:
+            while out and not out[-1]:
+                out.pop()
+        return tuple(out)
+
+    def neg(self, a):
+        p = self._p
+        if p:
+            return tuple([-c % p for c in a])
+        return tuple([-c for c in a])
 
     def mul(self, a, b):
         if not a or not b:
             return ()
-        f = self.field
-        out = [f.zero] * (len(a) + len(b) - 1)
+        out = [self.field.zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == f.zero:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = f.add(out[i + j], f.mul(ca, cb))
-        return self._strip(out)
-
-    def neg(self, a):
-        return tuple(self.field.neg(c) for c in a)
+            if ca:
+                k = i
+                for cb in b:
+                    if cb:
+                        out[k] += ca * cb
+                    k += 1
+        p = self._p
+        if p:
+            for k, c in enumerate(out):
+                out[k] = c % p
+        return tuple(out)
 
     def from_int(self, k):
         c = self.field.from_int(k)
@@ -465,7 +512,12 @@ class PolyRing(Ring):
 
     def coerce_payload(self, x):
         if isinstance(x, tuple):
-            return self._strip(self.field.coerce(c) for c in x)
+            f, p = self.field, self._p
+            if p:
+                out = [c % p if type(c) is int else f.coerce(c) for c in x]
+            else:
+                out = [c if type(c) is Fraction else f.coerce(c) for c in x]
+            return _strip(out)
         if isinstance(x, int):
             return self.from_int(x)
         raise ValueError(f"not a polynomial payload: {x!r}")
@@ -478,22 +530,32 @@ class PolyRing(Ring):
     def divmod_(self, a, b):
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
+        db = len(b) - 1
+        if len(a) <= db:
+            return (), a
+        p = self._p
+        inv = self.field.inv(b[-1])
+        low = b[:db]
         rem = list(a)
-        db, lb = len(b) - 1, b[-1]
-        inv_lb = f.inv(lb)
-        q = [f.zero] * max(len(a) - len(b) + 1, 0)
-        while len(rem) >= len(b):
-            while rem and rem[-1] == f.zero:
-                rem.pop()
-            if len(rem) < len(b):
-                break
-            c = f.mul(rem[-1], inv_lb)
-            d = len(rem) - 1 - db
-            q[d] = c
-            for i, cb in enumerate(b):
-                rem[d + i] = f.sub(rem[d + i], f.mul(c, cb))
-        return self._strip(q), self._strip(rem)
+        q = [self.field.zero] * (len(a) - db)
+        for d in range(len(q) - 1, -1, -1):
+            c = rem[d + db] * inv
+            if p:
+                c %= p
+            if c:
+                q[d] = c
+                k = d
+                for cb in low:
+                    if cb:
+                        rem[k] -= c * cb
+                    k += 1
+        del rem[db:]
+        if p:
+            for k, c in enumerate(rem):
+                rem[k] = c % p
+        while rem and not rem[-1]:
+            rem.pop()
+        return tuple(q), tuple(rem)
 
     def euclid_size(self, a):
         return len(a) - 1 if a else 0
@@ -677,7 +739,7 @@ def residues(base: Ring, d):
     if isinstance(base, IntegerRing):
         return list(range(abs(d))) or [0]
     if isinstance(base, PolyRing) and isinstance(base.field, PrimeField):
-        return [base._strip(c) for c in product(range(base.field.p), repeat=len(d) - 1)]
+        return [_strip(list(c)) for c in product(range(base.field.p), repeat=len(d) - 1)]
     raise TypeError(f"cannot enumerate residues over {base!r}")
 
 

@@ -22,6 +22,7 @@ from adic_smith.almost import (
     almost_adic_check,
     almost_zero_to_depth,
 )
+from adic_smith import tower as tower_module
 from adic_smith.cli import main as cli_main
 from adic_smith.fpmod import FPModule, HomModule, tensor
 from adic_smith.linalg import Matrix, kernel_basis, matvec, smith_normal_form, solve_linear
@@ -383,7 +384,7 @@ def test_criterion_09_engine_oracle_agreement():
 # -- 10: the command line is deterministic and exits honestly ---------
 
 
-def test_criterion_10_cli_contract(tmp_path):
+def test_criterion_10_cli_contract(tmp_path, monkeypatch):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps(NEGATIVE_DOC))
     d = str(doc)
@@ -410,6 +411,15 @@ def test_criterion_10_cli_contract(tmp_path):
         code, _, _ = run_cli(argv)
         ok &= code == want
 
+    # an engine fault is neither a verdict nor bad input: exit 3, one line
+    def fault(*args, **kwargs):
+        raise AssertionError("injected")
+
+    with monkeypatch.context() as m:
+        m.setattr(tower_module, "truncate", fault)
+        code, out, err = run_cli(["tower", "--input", d, "--ideal", "p", "--levels", "2"])
+    ok &= (code, out, err) == (3, "", "internal error: AssertionError: injected\n")
+
     for argv in (
         ["tower", "--input", d, "--ideal", "p", "--levels", "3"],
         ["yekutieli", "--input", d, "--ideal", "p", "--levels", "2"],
@@ -418,4 +428,4 @@ def test_criterion_10_cli_contract(tmp_path):
         _, out, _ = run_cli(argv)
         rep = json.loads(out)
         ok &= json.dumps(rep, sort_keys=True, indent=2) + "\n" == out
-    _verdict(10, "byte-identical reruns, honest exit matrix, JSON round-trips", ok)
+    _verdict(10, "byte-identical reruns, honest exit matrix, internal faults apart, JSON round-trips", ok)

@@ -385,6 +385,32 @@ def test_monomial_field_not_prime_names_ring():
     )
 
 
+BAD_VARS_RUNS = [
+    ("x,x", "input error: --vars: duplicate variable names in 'x,x'"),
+    (",", "input error: --vars: not a variable name: ''"),
+    ("x,2y", "input error: --vars: not a variable name: '2y'"),
+]
+
+
+@pytest.mark.parametrize("names,needle", BAD_VARS_RUNS, ids=["duplicate", "empty", "not-identifier"])
+def test_monomial_bad_vars_names_vars(names, needle):
+    check_exit2(["tower", "--engine", "monomial", "--ideal", "x^2", "--vars", names], needle)
+
+
+@pytest.mark.parametrize("fault", [AssertionError("product left the ideal"), MemoryError()])
+def test_internal_fault_exits_3_on_one_line(doc, monkeypatch, fault):
+    from adic_smith import tower
+
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(tower, "truncate", broken)
+    code, out, err = run_cli(["tower", "--input", doc, "--ideal", "p2", "--levels", "2"])
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {type(fault).__name__}: {fault}\n"
+
+
 def test_verify_laws_bad_ring():
     check_exit2(["verify-laws", "--ring", "zz"], "law corpora exist over")
 

@@ -7,7 +7,11 @@ SNF solve to their closed form, so any change to a report, a
 certificate, an error line or an exit code shows up here by name.
 Rings: Z, F_2[x], Q[x], Z/72 and F_3[x]/(x^4).  The ``verify-laws`` runs
 need no document; they were captured before the oracle's hom search
-became depth first and its law checks shared one loop.
+became depth first and its law checks shared one loop.  The last five
+runs carry long polynomial payloads (x -> x^(2^10) on the almost
+ladder, (x^2+x)^31 over F_2[x], sixth powers over Q[x]); they
+were captured before polynomial arithmetic moved from field-method
+calls to native accumulation with one reduction per coefficient.
 """
 
 import contextlib
@@ -137,6 +141,11 @@ DECK = [
     ("verify-laws-f2x", ["verify-laws", "--ring", "f2x"]),
     ("verify-laws-z4-subset", ["verify-laws", "--ring", "z4", "--laws", "box_assoc,embed_adjunctions"]),
     ("verify-laws-unknown", ["verify-laws", "--ring", "z4", "--laws", "nope"]),
+    ("almost-depth10-witness", ["almost", "--depth", "10", "--levels", "3", "--witness"]),
+    ("tower-fx2-30-cert", ["tower", "--input", "@", "--ideal", "fx2", "--levels", "30", "--with-certificates"]),
+    ("graded-qx-5", ["graded", "--input", "@", "--ideal", "qx", "--levels", "5"]),
+    ("graded-fx-4", ["graded", "--input", "@", "--ideal", "fx", "--levels", "4"]),
+    ("tower-qq-6-cert", ["tower", "--input", "@", "--ideal", "qq", "--levels", "6", "--with-certificates"]),
 ]
 
 # id -> (exit code, md5 of stdout + stderr)
@@ -208,6 +217,11 @@ FROZEN = {
     'verify-laws-f2x': (0, 'b1529e0948f6784d1b6d10e34c1f86ab'),
     'verify-laws-z4-subset': (0, '772b8448047e654ef33f2c2aa14a4fda'),
     'verify-laws-unknown': (2, '5cca72557d94519d5436a62cc46c9e6d'),
+    'almost-depth10-witness': (1, '08eb3d366235c814dd2011bce086a412'),
+    'tower-fx2-30-cert': (0, 'cd92e455178e5034a817a72b4a5e328e'),
+    'graded-qx-5': (0, '04f60dee91048ed56923bbea03a1b5f5'),
+    'graded-fx-4': (0, '06c8c14572a8c971d9ef8e5ecfd669f3'),
+    'tower-qq-6-cert': (0, '5d9ca2531bbc87ddf5bbd7bdfe7eb6c1'),
 }
 
 

@@ -2,11 +2,16 @@
 
 Polynomial products are cross-checked by plain convolution on dense
 coefficient lists, quotient reduction by long division, and xgcd by
-its defining identities.
+its defining identities.  Every ``PolyRing`` operation is also checked
+against ``Schoolbook``, a copy of the field-method arithmetic it replaced,
+on dense and sparse payloads of up to 4,096 coefficients.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from adic_smith.rings import (
     GF,
@@ -75,6 +80,141 @@ def test_poly_mul_matches_convolution(ring, xs, ys):
     field = ring.field
     dense = _convolve(field, [field.from_int(c) for c in xs], [field.from_int(c) for c in ys])
     assert ring.mul(a, b) == ring.coerce_payload(tuple(dense))
+
+
+class Schoolbook:
+    """k[x] arithmetic as it was written before native accumulation: every
+    coefficient goes through a field method, every result is stripped."""
+
+    def __init__(self, field):
+        self.f = field
+
+    def strip(self, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == self.f.zero:
+            coeffs.pop()
+        return tuple(coeffs)
+
+    def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = self.f.add(out[i], c)
+        return self.strip(out)
+
+    def neg(self, a):
+        return tuple(self.f.neg(c) for c in a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        f = self.f
+        out = [f.zero] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca == f.zero:
+                continue
+            for j, cb in enumerate(b):
+                out[i + j] = f.add(out[i + j], f.mul(ca, cb))
+        return self.strip(out)
+
+    def divmod_(self, a, b):
+        f = self.f
+        rem = list(a)
+        db, inv_lb = len(b) - 1, f.inv(b[-1])
+        q = [f.zero] * max(len(a) - len(b) + 1, 0)
+        while len(rem) >= len(b):
+            while rem and rem[-1] == f.zero:
+                rem.pop()
+            if len(rem) < len(b):
+                break
+            c = f.mul(rem[-1], inv_lb)
+            d = len(rem) - 1 - db
+            q[d] = c
+            for i, cb in enumerate(b):
+                rem[d + i] = f.sub(rem[d + i], f.mul(c, cb))
+        return self.strip(q), self.strip(rem)
+
+    def coerce(self, x):
+        return self.strip(self.f.coerce(c) for c in x)
+
+
+NATIVE_FIELDS = {"F2": GF(2), "F3": GF(3), "F5": GF(5), "Q": QQ}
+
+
+def _coefficient(field, rnd):
+    if field == QQ:
+        return Fraction(rnd.randint(-9, 9), rnd.randint(1, 4))
+    return rnd.randrange(field.p)
+
+
+@st.composite
+def _payload(draw, field):
+    """A canonical payload of up to 4,096 coefficients, dense or sparse
+    (at most four nonzero terms below the top)."""
+    n = draw(st.one_of(st.integers(0, 16), st.sampled_from([64, 1024, 4096]), st.integers(17, 4096)))
+    sparse = n > 0 and draw(st.booleans())
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    if sparse:
+        out = [field.zero] * n
+        for _ in range(rnd.randint(0, 4)):
+            out[rnd.randrange(n)] = _coefficient(field, rnd)
+    else:
+        out = [_coefficient(field, rnd) for _ in range(n)]
+    while out and not out[-1]:
+        out[-1] = _coefficient(field, rnd)
+    return tuple(out)
+
+
+def _schoolbook_steps(a, b):
+    """Inner-loop steps of the schoolbook mul(a, b) and divmod_ both ways."""
+    steps = sum(1 for c in a if c) * len(b)
+    for x, y in ((a, b), (b, a)):
+        steps += max(len(x) - len(y) + 1, 0) * len(y)
+    return steps
+
+
+def _canonical(field, a):
+    if field == QQ:
+        typed = all(type(c) is Fraction for c in a)
+    else:
+        typed = all(type(c) is int and 0 <= c < field.p for c in a)
+    return typed and isinstance(a, tuple) and (not a or a[-1] != field.zero)
+
+
+@pytest.mark.parametrize("name", NATIVE_FIELDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_native_poly_ops_match_schoolbook(name, data):
+    field = NATIVE_FIELDS[name]
+    ring, ref = PolyRing(field, "x"), Schoolbook(field)
+    a, b = data.draw(_payload(field), "a"), data.draw(_payload(field), "b")
+    assume(_schoolbook_steps(a, b) <= 20_000)
+    results = [
+        (ring.add(a, b), ref.add(a, b)),
+        (ring.sub(a, b), ref.sub(a, b)),
+        (ring.sub(b, a), ref.sub(b, a)),
+        (ring.neg(a), ref.neg(a)),
+        (ring.mul(a, b), ref.mul(a, b)),
+        (ring.coerce_payload(a), ref.coerce(a)),
+        (ring.add(a, ring.neg(a)), ()),
+        (ring.sub(a, a), ()),
+    ]
+    for x, y in ((a, b), (b, a)):
+        if y:
+            results += list(zip(ring.divmod_(x, y), ref.divmod_(x, y)))
+    for got, want in results:
+        assert got == want
+        assert _canonical(field, got)
+    # values from outside: ints anywhere, Fractions over Q, trailing zeros
+    raw = tuple(int(c) * 7 - 3 for c in a[:64]) + (0, 0)
+    if field == QQ:
+        raw += (Fraction(1, 3), 0)
+    assert ring.coerce_payload(raw) == ref.coerce(raw)
+    assert _canonical(field, ring.coerce_payload(raw))
 
 
 @given(coeff_lists, coeff_lists.filter(lambda c: any(x % 2 for x in c)))

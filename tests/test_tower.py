@@ -7,6 +7,7 @@ Z/p^{n+1} and every graded piece is Z/p; likewise with x for k[x].
 """
 
 import hashlib
+import json
 from itertools import product
 
 import pytest
@@ -494,3 +495,55 @@ def test_graded_rels_frozen(spec, digests):
     for n, digest in enumerate(digests):
         rel = GradedPiece(tw, n).module.rel
         assert hashlib.md5(repr(rel.rows).encode()).hexdigest() == digest, n
+
+
+# md5 of the formatted relations of SmithIdeal.power(n)[0] (the syzygy
+# lattice of the n-fold generator products, in Hermite form), n = 0, 1, ...,
+# frozen before polynomial arithmetic moved to native accumulation.  The
+# two Z ideals share their digests: (12, 20, 30, 8) is 2 (6, 10, 15, 4),
+# and scaling a row does not change its syzygies.
+Z4_POWER_RELS = [
+    "c676ed1d3bec334e54b7133560eb6275",
+    "6cbd37fb301e6c785758f0c5ff72fc4f",
+    "b57d2394151322a8c2665f7bbbee18d7",
+    "b0d384c5d2a782479138c5cb4641cdd0",
+    "80b7e7d45d48d965bb3d43dc5b218480",
+    "20b0f44c180a69f5b4606fcc4b2b3e37",
+    "d637f24361f3f2c9ad388705568e384c",
+    "418bb0e6ba8fb75cea824c99ae67aa0e",
+]
+FROZEN_POWER_RELS = [
+    ((ZZ, [6, 10, 15, 4]), Z4_POWER_RELS),
+    ((ZZ, [12, 20, 30, 8]), Z4_POWER_RELS),
+    ((ZZ, [7, 10, 9]), [
+        "c676ed1d3bec334e54b7133560eb6275",
+        "96c4803ee98432ecc938b055a0cab1b3",
+        "96276d03fdbadc135a6cb2273a858784",
+        "c9dc8039666104650fb3d04a21822ea8",
+    ]),
+    ((F2X, ["x^2+x", "x^3", "x^2+1"]), [
+        "c676ed1d3bec334e54b7133560eb6275",
+        "a246d1ebc794fc7047d1dc4b79336bb9",
+        "6b1e9cfd36bb71268256353c90d4f8d9",
+        "288d328a8a6da1437651d35a0fdf90aa",
+    ]),
+    ((QX, ["x^2-1", "x^3-x", "x^2+x"]), [
+        "c676ed1d3bec334e54b7133560eb6275",
+        "d07ea155789be21153968b2aaa962247",
+        "9b133e0a918148c13ba91886246e1bcd",
+        "eb3f07174dd14477563414e9cb974de9",
+        "cabebae1148a3d6da3b116c8e4ce9f41",
+        "a5e8b2bf59dcfa6c472d356606f02bc3",
+        "181452f0fa7ee79a68efe25396c86355",
+    ]),
+]
+
+
+@pytest.mark.parametrize("spec,digests", FROZEN_POWER_RELS, ids=["z4", "z2w", "z3", "f2x", "qx"])
+def test_power_rels_frozen(spec, digests):
+    ring, gens = spec
+    I = SmithIdeal(ring, [ring.parse(g) if isinstance(g, str) else g for g in gens])
+    for n, digest in enumerate(digests):
+        rel = I.power(n)[0].rel
+        text = json.dumps([[ring.format_elem(x) for x in r] for r in rel.rows])
+        assert hashlib.md5(text.encode()).hexdigest() == digest, n
