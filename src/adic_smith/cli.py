@@ -29,7 +29,7 @@ from .tower import (
     ModuleTower,
     yekutieli_compare,
 )
-from .monomial import MonomialLocalRing, monomial_tower, parse_monomial, default_var_names
+from .monomial import MonomialLocalRing, TowerTooLarge, monomial_tower, parse_monomial, default_var_names
 from .almost import AlmostContext, AlmostModule, almost_adic_check, almost_zero_to_depth
 from .oracle import FiniteCorpus, check_monoidal_laws, LAW_NAMES
 
@@ -250,6 +250,8 @@ def cmd_tower(args, doc):
             gens = [parse_monomial(g, names) for g in args.ideal.split(",")]
             Rm = MonomialLocalRing(field, len(names), gens, names)
             report = monomial_tower(Rm, args.levels)
+        except TowerTooLarge as e:
+            raise InputError("--levels", str(e)) from None
         except ValueError as e:
             raise InputError("--ideal", str(e)) from None
         report["command"] = "tower"

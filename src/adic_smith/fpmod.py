@@ -138,7 +138,7 @@ class FPModule:
         for i, j in self._pivots:
             q, r = base.divmod_(v[i], H[i][j])
             if q != base.zero:
-                for s in range(i, self.ngens):
+                for s in range(i + 1, self.ngens):
                     if H[s][j] != base.zero:
                         v[s] = base.sub(v[s], base.mul(q, H[s][j]))
                 v[i] = r

@@ -1,35 +1,61 @@
-"""Monomial-ideal truncation towers over k[x_1 .. x_r].
+"""Monomial-ideal truncation towers over k[x_1 .. x_r], exact and free of
+coefficient arithmetic: a monomial is an exponent tuple, an ideal a finite
+antichain of minimal generators.  A tower is read off one walk, by degree
+from 1, of the I-adic order function ord(m) = max{k : m in I^k} (Swanson
+& Huneke, *Integral Closure of Ideals, Rings, and Modules*, 2006): ord(m)
+= max over generators g | m of 1 + ord(m/g), or 0 when no generator
+divides m.  The standard monomials of I^{N+1} are {ord <= N} (Bayer &
+Stillman, J. Symbolic Comput. 14, 1992), closed under division, so a
+quotient the walk never reached has ord > N.  Level n has the deg-lex
+basis {ord <= n}; 1 <= ord <= n spans its ideal I/I^{n+1}, and ord = n
+its graded piece I^n/I^{n+1}.
 
-Everything here is exponent combinatorics: a monomial is an exponent
-tuple, an ideal is a finite antichain of minimal generators, and
-membership is a divisibility test.  Quotients A/I^{n+1} get explicit
-standard-monomial bases in degree-lex order, so towers over the
-multivariate ring stay exact without any coefficient arithmetic.
-
-Finiteness guard: a quotient basis exists only when the ideal contains
-a pure power of every variable (or is the unit ideal).
+Guards: a quotient basis exists only when the ideal contains a pure power
+of every variable (or is the unit ideal); a tower holding more than
+MONOMIAL_BUDGET entries is refused while the walk runs.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from collections import Counter
+from operator import add, le, sub
+
+# Entries a tower report may hold: one per level, and one per level that
+# lists each standard monomial (levels k..N for order k).  The deck's
+# largest tower, (x^3, y^2, xy) at N = 30, holds 26,815.
+MONOMIAL_BUDGET = 250_000
 
 
-def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+class TowerTooLarge(ValueError):
+    """The tower would hold more than MONOMIAL_BUDGET entries."""
 
 
-def _deglex_key(m):
-    # total degree, then lex with earlier variables first
+def _deglex_key(m):  # total degree, then lex with earlier variables first
     return (sum(m), tuple(-e for e in m))
 
 
+def _has_divisor(trie, m, i=0) -> bool:
+    """Does a monomial in ``trie`` (nested dicts by exponent of x_1, x_2, ..) divide m?"""
+    return i == len(m) or any(e <= m[i] and _has_divisor(t, m, i + 1) for e, t in trie.items())
+
+
+def _trie(monomials):
+    root = {}
+    for m in monomials:
+        node = root
+        for e in m:
+            node = node.setdefault(e, {})
+    return root
+
+
 def minimalize(gens):
-    """Antichain of minimal generators, deg-lex sorted."""
-    gens = sorted(set(gens), key=_deglex_key)
-    out = []
-    for g in gens:
-        if not any(_divides(h, g) for h in out):
+    """Antichain of minimal generators, deg-lex sorted.  A distinct divisor
+    has lower degree, so each is looked up among the kept lower degrees."""
+    out, trie, deg = [], {}, None
+    for g in sorted(set(gens), key=_deglex_key):
+        if sum(g) != deg:
+            deg, trie = sum(g), _trie(out)
+        if not _has_divisor(trie, g):
             out.append(g)
     return out
 
@@ -46,8 +72,7 @@ class MonomialLocalRing:
         for g in gens:
             if len(g) != r or any(e < 0 for e in g):
                 raise ValueError(f"bad exponent vector for {r} variables: {g}")
-        self.field = field
-        self.r = r
+        self.field, self.r = field, r
         self.gens = tuple(minimalize(gens))
         self.names = tuple(names) if names else default_var_names(r)
         if len(self.names) != r:
@@ -57,41 +82,29 @@ class MonomialLocalRing:
         return any(sum(g) == 0 for g in self.gens)
 
     def contains(self, m) -> bool:
-        return any(_divides(g, m) for g in self.gens)
+        return any(all(map(le, g, m)) for g in self.gens)
 
     def power_gens(self, n: int):
         """Minimal generators of I^n; I^0 is the unit ideal."""
-        if n == 0:
-            return [(0,) * self.r]
-        prods = []
-        for combo in combinations_with_replacement(range(len(self.gens)), n):
-            s = [0] * self.r
-            for t in combo:
-                g = self.gens[t]
-                for i in range(self.r):
-                    s[i] += g[i]
-            prods.append(tuple(s))
-        return minimalize(prods)
+        p = [(0,) * self.r]
+        for _ in range(n):
+            p = self.times_ideal(p)
+        return p
+
+    def times_ideal(self, gens):
+        """Minimal generators of the product of (gens) with I."""
+        return minimalize(tuple(map(add, a, g)) for a in gens for g in self.gens)
+
+    def missing_pure_power(self):
+        """First variable index with no pure power among the generators, or None."""
+        return next((i for i in range(self.r) if not any(0 < g[i] == sum(g) for g in self.gens)), None)
 
     def is_cofinite(self) -> bool:
         """Does A/I have a finite monomial basis?"""
-        if self.is_unit_ideal():
-            return True
-        for i in range(self.r):
-            if not any(g[i] > 0 and all(g[j] == 0 for j in range(self.r) if j != i) for g in self.gens):
-                return False
-        return True
+        return self.is_unit_ideal() or self.missing_pure_power() is None
 
     def format_monomial(self, m) -> str:
-        if sum(m) == 0:
-            return "1"
-        parts = []
-        for name, e in zip(self.names, m):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.names, m) if e) or "1"
 
     def __repr__(self):
         gs = ", ".join(self.format_monomial(g) for g in self.gens) or "0"
@@ -99,91 +112,82 @@ class MonomialLocalRing:
 
 
 def default_var_names(r: int):
-    if r <= 3:
-        return tuple("xyz"[:r])
-    return tuple(f"x{i + 1}" for i in range(r))
+    return tuple("xyz"[:r]) if r <= 3 else tuple(f"x{i + 1}" for i in range(r))
 
 
-def _in_any(gens, m) -> bool:
-    return any(_divides(g, m) for g in gens)
+def _order_walk(Rm: MonomialLocalRing, N: int):
+    """{m: ord(m)} for the standard monomials of I^{N+1}, in deg-lex order.
 
-
-def _standard_monomials(r: int, gens):
-    """Monomials outside the ideal spanned by ``gens``, deg-lex sorted.
-
-    Raises when the complement is infinite, detected by a missing pure
-    variable power among the generators.
-    """
-    if any(sum(g) == 0 for g in gens):
-        return []
-    caps = []
-    for i in range(r):
-        pure = [g[i] for g in gens if g[i] > 0 and all(g[j] == 0 for j in range(r) if j != i)]
-        if not pure:
-            raise ValueError("quotient is infinite-dimensional: no pure power of variable %d" % (i + 1))
-        caps.append(min(pure))
-    out = [m for m in product(*[range(c) for c in caps]) if not _in_any(gens, m)]
-    out.sort(key=_deglex_key)
-    return out
+    A monomial whose last variable is x_j (x_1 for 1) steps up x_j .. x_r
+    only, so each is reached once and each degree comes out in deg-lex
+    order.  Under the unit ideal 1 already has order above N."""
+    if not Rm.is_cofinite():
+        i = Rm.missing_pure_power() + 1
+        raise ValueError("quotient is infinite-dimensional: no pure power of variable %d" % i)
+    r, order, listed = Rm.r, {}, N + 1
+    layer, degree = [((0,) * r, 0)], 0
+    while layer:
+        nxt, gens = [], [g for g in Rm.gens if sum(g) <= degree]
+        for c, j in layer:
+            if listed > MONOMIAL_BUDGET:
+                raise TowerTooLarge(f"the tower would hold more than {MONOMIAL_BUDGET} entries")
+            o = 0
+            for g in gens:
+                if all(map(le, g, c)):
+                    o = max(o, order.get(tuple(map(sub, c, g)), N) + 1)
+            if o <= N:
+                listed += N + 1 - o
+                order[c] = o
+                nxt += [(c[:k] + (c[k] + 1,) + c[k + 1:], k) for k in range(j, r)]
+        layer, degree = nxt, degree + 1
+    return order
 
 
 def quotient_basis(Rm: MonomialLocalRing, n: int):
     """Standard-monomial basis of A/I^{n+1}, deg-lex sorted."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    return _standard_monomials(Rm.r, Rm.power_gens(n + 1))
+    return list(_order_walk(Rm, n))
 
 
 def hilbert_graded_dims(Rm: MonomialLocalRing, N: int):
-    """dim_k(I^n/I^{n+1}) for n = 0..N, by direct monomial counting."""
-    dims = []
-    for n in range(N + 1):
-        lower = Rm.power_gens(n)
-        basis = quotient_basis(Rm, n)
-        dims.append(sum(1 for m in basis if _in_any(lower, m)))
-    return dims
+    """dim_k(I^n/I^{n+1}) for n = 0..N: the monomials of order n."""
+    graded = Counter(_order_walk(Rm, N).values()) if N >= 0 else {}
+    return [graded[n] for n in range(N + 1)]
 
 
 def transition_is_epi(lower_basis, upper_basis) -> bool:
     """Is A/I^{n+1} -> A/I^n onto, given the standard-monomial bases of
     the two levels?  The map sends a standard monomial to itself or to 0,
     so it is onto exactly when the lower basis lies inside the upper one."""
-    upper = set(upper_basis)
-    return all(m in upper for m in lower_basis)
+    return set(lower_basis) <= set(upper_basis)
 
 
 def monomial_tower(Rm: MonomialLocalRing, N: int):
     """Tower-shaped report: per-level dimensions plus re-truncation checks.
 
-    Level 0's transition goes to A/I^0 = 0, whose basis is empty."""
+    Level 0's transition goes to A/I^0 = 0, whose basis is empty.  Level n
+    re-truncates from level N when I^{N+1} lies in I^{n+1}, certified link
+    by link: each generator of I^{k+1} has a divisor among those of I^k."""
     if N < 0:
         raise ValueError("tower bound must be >= 0")
-    graded = hilbert_graded_dims(Rm, N)
-    cap = Rm.power_gens(N + 1)
-    levels = []
-    lower = []
+    walk = _order_walk(Rm, N)
+    names = {m: Rm.format_monomial(m) for m in walk}
+    graded = Counter(walk.values())
+    links, power = [], [(0,) * Rm.r]
+    for _ in range(N + 1):
+        power, trie = Rm.times_ideal(power), _trie(power)
+        links.append(all(_has_divisor(trie, c) for c in power))
+    levels, lower = [], []
     for n in range(N + 1):
-        basis = quotient_basis(Rm, n)
-        ideal_dim = sum(1 for m in basis if Rm.contains(m))
-        retrunc = minimalize(list(Rm.power_gens(n + 1)) + list(cap)) == Rm.power_gens(n + 1)
-        levels.append(
-            {
-                "level": n,
-                "algebra_dim": len(basis),
-                "ideal_dim": ideal_dim,
-                "graded_dim": graded[n],
-                "basis": [Rm.format_monomial(m) for m in basis],
-                "transition_epi": transition_is_epi(lower, basis),
-                "retruncation_consistent": retrunc,
-            }
-        )
+        basis = [m for m, o in walk.items() if o <= n]
+        levels.append({"level": n, "algebra_dim": len(basis), "ideal_dim": len(basis) - graded[0],
+                       "graded_dim": graded[n], "basis": [names[m] for m in basis],
+                       "transition_epi": transition_is_epi(lower, basis),
+                       "retruncation_consistent": all(links[n + 1:])})
         lower = basis
-    return {
-        "engine": "monomial",
-        "variables": list(Rm.names),
-        "ideal": [Rm.format_monomial(g) for g in Rm.gens],
-        "levels": levels,
-    }
+    return {"engine": "monomial", "variables": list(Rm.names),
+            "ideal": [Rm.format_monomial(g) for g in Rm.gens], "levels": levels}
 
 
 def parse_monomial(text: str, names) -> tuple:
@@ -194,15 +198,11 @@ def parse_monomial(text: str, names) -> tuple:
         return tuple(exps)
     for factor in text.split("*"):
         factor = factor.strip()
-        if "^" in factor:
-            var, _, e = factor.partition("^")
-            var, e = var.strip(), e.strip()
-            if not e.isdigit():
-                raise ValueError(f"bad exponent in {factor!r}")
-            k = int(e)
-        else:
-            var, k = factor, 1
+        var, caret, e = factor.partition("^")
+        var, e = var.strip(), e.strip() if caret else "1"
+        if not e.isdigit():
+            raise ValueError(f"bad exponent in {factor!r}")
         if var not in names:
             raise ValueError(f"unknown variable {var!r} (have {', '.join(names)})")
-        exps[names.index(var)] += k
+        exps[names.index(var)] += int(e)
     return tuple(exps)

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from adic_smith.cli import main
+from adic_smith.monomial import MONOMIAL_BUDGET
 from adic_smith.oracle import LAW_NAMES
 from adic_smith.rings import IntegerRing
 from adic_smith.tower import SmithIdeal, Tower
@@ -376,6 +377,14 @@ BELOW_ONE_RUNS = [
 )
 def test_corpus_bounds_below_one_refused(extra, flag, value):
     check_exit2(["verify-laws", "--ring", "z2"] + extra, f"input error: {flag}: must be >= 1, got {value}")
+
+
+def test_monomial_tower_past_budget_names_levels():
+    # the box below these pure powers has 10^10 cells
+    check_exit2(
+        ["tower", "--engine", "monomial", "--ideal", "x^100000,y^100000", "--vars", "x,y", "--levels", "0"],
+        f"input error: --levels: the tower would hold more than {MONOMIAL_BUDGET} entries",
+    )
 
 
 def test_monomial_field_not_prime_names_ring():

@@ -1,11 +1,17 @@
 """Monomial towers: exponent combinatorics, frozen dimension tables,
-and the single-variable cross-check against the certified PID engine."""
+the single-variable cross-check against the certified PID engine, and
+the order-function walk against the box enumeration it replaced."""
+
+from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SMALL_RINGS, poly_from_coeffs
+from adic_smith import monomial
 from adic_smith.monomial import (
     MonomialLocalRing,
+    TowerTooLarge,
     hilbert_graded_dims,
     minimalize,
     monomial_tower,
@@ -137,3 +143,131 @@ def test_input_validation():
         MonomialLocalRing("Q", 2, [(-1, 0)])
     with pytest.raises(ValueError, match="level"):
         quotient_basis(MonomialLocalRing("Q", 1, [(1,)]), -1)
+
+
+# -- the walk against the box enumeration -----------------------------
+#
+# A self-contained copy of the engine before the order-function walk:
+# every level enumerates the box below the pure powers of I^{n+1} and
+# tests each monomial against every minimal generator.
+
+
+def _ref_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _ref_deglex(m):
+    return (sum(m), tuple(-e for e in m))
+
+
+def _ref_minimalize(gens):
+    out = []
+    for g in sorted(set(gens), key=_ref_deglex):
+        if not any(_ref_divides(h, g) for h in out):
+            out.append(g)
+    return out
+
+
+def _ref_power_gens(r, gens, n):
+    if n == 0:
+        return [(0,) * r]
+    return _ref_minimalize(
+        tuple(sum(gens[t][i] for t in combo) for i in range(r))
+        for combo in combinations_with_replacement(range(len(gens)), n)
+    )
+
+
+def _ref_format(names, m):
+    if sum(m) == 0:
+        return "1"
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, m) if e)
+
+
+def _ref_quotient_basis(r, gens, n):
+    pgens = _ref_power_gens(r, gens, n + 1)
+    if any(sum(g) == 0 for g in pgens):
+        return []
+    caps = []
+    for i in range(r):
+        pure = [g[i] for g in pgens if g[i] > 0 and all(g[j] == 0 for j in range(r) if j != i)]
+        if not pure:
+            raise ValueError("quotient is infinite-dimensional: no pure power of variable %d" % (i + 1))
+        caps.append(min(pure))
+    out = [m for m in product(*[range(c) for c in caps]) if not any(_ref_divides(g, m) for g in pgens)]
+    return sorted(out, key=_ref_deglex)
+
+
+def _ref_hilbert(r, gens, N):
+    dims = []
+    for n in range(N + 1):
+        lower = _ref_power_gens(r, gens, n)
+        dims.append(sum(1 for m in _ref_quotient_basis(r, gens, n) if any(_ref_divides(g, m) for g in lower)))
+    return dims
+
+
+def _ref_tower(r, gens, names, N):
+    graded = _ref_hilbert(r, gens, N)
+    cap = _ref_power_gens(r, gens, N + 1)
+    levels, lower = [], []
+    for n in range(N + 1):
+        basis = _ref_quotient_basis(r, gens, n)
+        upper = _ref_power_gens(r, gens, n + 1)
+        levels.append({
+            "level": n,
+            "algebra_dim": len(basis),
+            "ideal_dim": sum(1 for m in basis if any(_ref_divides(g, m) for g in gens)),
+            "graded_dim": graded[n],
+            "basis": [_ref_format(names, m) for m in basis],
+            "transition_epi": set(lower) <= set(basis),
+            "retruncation_consistent": _ref_minimalize(upper + cap) == upper,
+        })
+        lower = basis
+    return {"engine": "monomial", "variables": list(names), "ideal": [_ref_format(names, g) for g in gens],
+            "levels": levels}
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except ValueError as e:
+        return "error", str(e)
+
+
+@st.composite
+def small_ideals(draw):
+    """1-3 variables, a few random generators, a pure power of each
+    variable or not, and now and then the unit ideal."""
+    r = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * r), max_size=4))
+    caps = draw(st.lists(st.one_of(st.none(), st.integers(1, 4)), min_size=r, max_size=r))
+    gens += [tuple(c if j == i else 0 for j in range(r)) for i, c in enumerate(caps) if c is not None]
+    if draw(st.integers(0, 9)) == 0:
+        gens.append((0,) * r)
+    return r, gens, draw(st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals())
+def test_order_walk_matches_box_enumeration(case):
+    r, raw, N = case
+    R = MonomialLocalRing("F2", r, raw)
+    gens = _ref_minimalize(raw)
+    assert list(R.gens) == gens
+    assert [R.power_gens(n) for n in range(N + 2)] == [_ref_power_gens(r, gens, n) for n in range(N + 2)]
+    assert _outcome(monomial_tower, R, N) == _outcome(_ref_tower, r, gens, R.names, N)
+    assert _outcome(quotient_basis, R, N) == _outcome(_ref_quotient_basis, r, gens, N)
+    assert _outcome(hilbert_graded_dims, R, N) == _outcome(_ref_hilbert, r, gens, N)
+
+
+def test_budget_counts_levels_and_listed_monomials(monkeypatch):
+    R = MonomialLocalRing("Q", 2, [(1, 0), (0, 1)])
+    # N = 4: 5 levels listing 1 + 3 + 6 + 10 + 15 basis monomials
+    monkeypatch.setattr(monomial, "MONOMIAL_BUDGET", 40)
+    assert len(monomial_tower(R, 4)["levels"]) == 5
+    monkeypatch.setattr(monomial, "MONOMIAL_BUDGET", 39)
+    with pytest.raises(TowerTooLarge, match="more than 39 entries"):
+        monomial_tower(R, 4)
+    with pytest.raises(TowerTooLarge):
+        quotient_basis(MonomialLocalRing("Q", 1, [(0,)]), 39)
+    assert issubclass(TowerTooLarge, ValueError)
+

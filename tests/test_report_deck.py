@@ -11,7 +11,10 @@ became depth first and its law checks shared one loop.  The last five
 runs carry long polynomial payloads (x -> x^(2^10) on the almost
 ladder, (x^2+x)^31 over F_2[x], sixth powers over Q[x]); they
 were captured before polynomial arithmetic moved from field-method
-calls to native accumulation with one reduction per coefficient.
+calls to native accumulation with one reduction per coefficient.  The
+two long monomial towers, (x^3, y^2, xy) to level 30 and
+(x^2, y^2, z^2, w^2, xyz) to level 6, were captured from the box
+enumeration of standard monomials, before the order-function walk.
 """
 
 import contextlib
@@ -146,6 +149,10 @@ DECK = [
     ("graded-qx-5", ["graded", "--input", "@", "--ideal", "qx", "--levels", "5"]),
     ("graded-fx-4", ["graded", "--input", "@", "--ideal", "fx", "--levels", "4"]),
     ("tower-qq-6-cert", ["tower", "--input", "@", "--ideal", "qq", "--levels", "6", "--with-certificates"]),
+    ("tower-monomial-30", ["tower", "--engine", "monomial", "--ideal", "x^3,y^2,x*y", "--vars", "x,y",
+                           "--levels", "30"]),
+    ("tower-monomial-4v-f3", ["tower", "--engine", "monomial", "--ideal", "x^2,y^2,z^2,w^2,x*y*z",
+                              "--vars", "x,y,z,w", "--ring", "F3", "--levels", "6"]),
 ]
 
 # id -> (exit code, md5 of stdout + stderr)
@@ -222,6 +229,8 @@ FROZEN = {
     'graded-qx-5': (0, '04f60dee91048ed56923bbea03a1b5f5'),
     'graded-fx-4': (0, '06c8c14572a8c971d9ef8e5ecfd669f3'),
     'tower-qq-6-cert': (0, '5d9ca2531bbc87ddf5bbd7bdfe7eb6c1'),
+    'tower-monomial-30': (0, 'd09bd0fc7b5e853f919d6839b8fd1bc9'),
+    'tower-monomial-4v-f3': (0, 'fbc2f5e24e1562c5b8d81e90ee72a19c'),
 }
 
 
