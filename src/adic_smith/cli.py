@@ -17,7 +17,7 @@ import sys
 
 from .rings import GF, json_key, json_object, ring_from_json
 from .linalg import Matrix
-from .fpmod import FPModule, FPMap, _cols_in_span
+from .fpmod import FPModule, FPMap
 from .arrowcat import ArrowMap
 from .tower import (
     GradedPiece,
@@ -107,9 +107,8 @@ class InputDocument:
 
 def _well_defined_or_explain(src: FPModule, dst: FPModule, mat: Matrix, path: str):
     """FPMap check with a diagnostic that names the first bad column."""
-    for j in range(src.rel.n):
-        col = Matrix.from_cols(src.base, [src.rel.col(j)], src.ngens)
-        if not _cols_in_span(dst, mat * col):
+    for j, col in enumerate((mat * src.rel).cols()):
+        if not dst.is_zero_vec(col):
             raise InputError(path, f"matrix does not respect relation column {j}")
     return FPMap(src, dst, mat, check=False)
 

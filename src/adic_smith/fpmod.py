@@ -16,6 +16,14 @@ form with zero columns dropped, so equal submodule lattices give equal
 ``FPModule`` objects and element coordinates have unique reduced forms.
 Maps are matrices on generators, stored with columns reduced, so map
 equality is matrix equality.
+
+Each question goes to one normal form.  The stored Hermite form answers
+membership (``reduce_vec`` is zero exactly on the lattice; ``FPMap``
+certifies well-definedness this way), the free rank (its columns are
+independent), the zero test, the size and the k-dimension (its pivots
+multiply to the product of the invariant factors).  The relation Smith
+form, built on first use, answers invariant factors, isomorphism type,
+``minimal_decomposition``, kernels and solves.
 """
 
 from __future__ import annotations
@@ -37,7 +45,12 @@ from adic_smith.rings import IntegerRing, PolyRing, PrimeField, Ring, algebra_sp
 
 
 class FPModule:
-    """R-presented module over an algebra; see the module docstring."""
+    """R-presented module over an algebra; see the module docstring.
+
+    Membership, ``free_rank``, ``is_zero_module``, ``element_count`` and
+    ``dim_over_field`` read the Hermite form ``rel``; ``invariant_factors``
+    and the structure built on them read the Smith form ``rel_cert()``.
+    """
 
     __slots__ = (
         "algebra",
@@ -47,7 +60,6 @@ class FPModule:
         "rel",
         "_pivots",
         "_rel_cert",
-        "_snf",
     )
 
     def __init__(self, algebra: Ring, ngens: int, rel_cols=()):
@@ -85,7 +97,6 @@ class FPModule:
                     break
         self._pivots = tuple(pivots)
         self._rel_cert = None
-        self._snf = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -108,9 +119,7 @@ class FPModule:
         return self._rel_cert
 
     def snf_diagonal(self):
-        if self._snf is None:
-            self._snf = tuple(self.rel_cert().diagonal())
-        return self._snf
+        return self.rel_cert().diagonal()
 
     # -- elements ------------------------------------------------------
     def gen(self, i: int):
@@ -185,13 +194,14 @@ class FPModule:
         ]
 
     def free_rank(self) -> int:
-        return self.ngens - self.rel_cert().rank
+        return self.ngens - self.rel.n
 
     def structure(self):
         return (self.free_rank(), tuple(self.invariant_factors()))
 
     def is_zero_module(self) -> bool:
-        return self.free_rank() == 0 and not self.invariant_factors()
+        one, H = self.base.one, self.rel.rows
+        return self.rel.n == self.ngens and all(H[i][j] == one for i, j in self._pivots)
 
     def dim_over_field(self):
         """k-dimension when the base is k[x] and the module is torsion."""
@@ -199,7 +209,7 @@ class FPModule:
             raise TypeError("dimension counting needs a polynomial base")
         if self.free_rank() > 0:
             return None
-        return sum(len(d) - 1 for d in self.invariant_factors())
+        return sum(len(self.rel.rows[i][j]) - 1 for i, j in self._pivots)
 
     def describe(self):
         base = self.base
@@ -261,7 +271,7 @@ class FPMap:
                 f"matrix {mat.m}x{mat.n} against map "
                 f"{src.ngens} -> {dst.ngens} generators"
             )
-        if check and src.rel.n and not _cols_in_span(dst, mat * src.rel):
+        if check and not all(dst.is_zero_vec(c) for c in (mat * src.rel).cols()):
             raise ValueError("matrix does not respect the relations")
         self.src = src
         self.dst = dst
@@ -370,15 +380,6 @@ class FPMap:
         if not (self * inv == FPMap.identity(self.dst) and inv * self == FPMap.identity(self.src)):
             raise ValueError("map is not invertible")
         return inv
-
-
-def _cols_in_span(M: FPModule, B: Matrix) -> bool:
-    """Do all columns of B lie in M's relation lattice?"""
-    cert = M.rel_cert()
-    for j in range(B.n):
-        if solve_linear(M.rel, B.col(j), cert) is None:
-            return False
-    return True
 
 
 def _solve_top(A: Matrix, B: Matrix, top: int):

@@ -223,12 +223,19 @@ def truncate(ideal: SmithIdeal, n: int) -> TowerLevel:
     return TowerLevel(n, arrow, loc, vanishes)
 
 
+def _identity_on_generators(source: Arrow, target: Arrow) -> ArrowMap:
+    """The square whose top and bottom maps are identity matrices on the
+    generators; both maps and the square are certified, and a failure
+    raises ValueError."""
+    base = source.dom.base
+    top = FPMap(source.dom, target.dom, Matrix.identity(base, source.dom.ngens))
+    bottom = FPMap(source.cod, target.cod, Matrix.identity(base, source.cod.ngens))
+    return ArrowMap(source, target, top, bottom)
+
+
 def transition_map(upper: TowerLevel, lower: TowerLevel) -> ArrowMap:
     """The canonical surjection P^n -> P^{n-1} (identity on generators)."""
-    base = upper.arrow.dom.base
-    top = FPMap(upper.arrow.dom, lower.arrow.dom, Matrix.identity(base, upper.arrow.dom.ngens))
-    bottom = FPMap(upper.arrow.cod, lower.arrow.cod, Matrix.identity(base, 1))
-    return ArrowMap(upper.arrow, lower.arrow, top, bottom)
+    return _identity_on_generators(upper.arrow, lower.arrow)
 
 
 def tower_levels(ideal: SmithIdeal, N: int):
@@ -275,11 +282,7 @@ def truncated_ideal(ideal: SmithIdeal, lv: TowerLevel) -> SmithIdeal:
 
 def localization_to_truncation(ideal: SmithIdeal, trunc: SmithIdeal) -> ArrowMap:
     """The canonical map j -> (truncated j), identity on generators."""
-    base = ideal.base
-    k = len(ideal.gens)
-    top = FPMap(ideal.I, trunc.I, Matrix.identity(base, k))
-    bottom = FPMap(ideal.ambient, trunc.ambient, Matrix.identity(base, 1))
-    return ArrowMap(ideal.j, trunc.j, top, bottom)
+    return _identity_on_generators(ideal.j, trunc.j)
 
 
 # -- graded pieces ----------------------------------------------------
@@ -479,13 +482,10 @@ def check_complete(ideal: SmithIdeal, N: int) -> LevelVerdict:
 
 def truncation_composition(ideal: SmithIdeal, m: int, n: int):
     """(comparison ArrowMap P^m(P^n(j)) -> P^{min(m,n)}(j), iso flag)."""
-    base = ideal.base
     trunc = truncated_ideal(ideal, truncate(ideal, n))
     outer = truncate(trunc, m)
     direct = truncate(ideal, min(m, n))
-    top = FPMap(outer.arrow.dom, direct.arrow.dom, Matrix.identity(base, outer.arrow.dom.ngens))
-    bottom = FPMap(outer.arrow.cod, direct.arrow.cod, Matrix.identity(base, 1))
-    cmp_map = ArrowMap(outer.arrow, direct.arrow, top, bottom)
+    cmp_map = _identity_on_generators(outer.arrow, direct.arrow)
     return cmp_map, cmp_map.is_iso()
 
 
@@ -494,15 +494,12 @@ def check_module_complete(mt: ModuleTower) -> LevelVerdict:
     ideal agree with the levels of ``mt``, built from j itself,
     certified per level."""
     LM = embed("L1", mt.M)
-    base = mt.ideal.base
     trunc = truncated_ideal(mt.ideal, mt.tower.levels[mt.N])
     entries, maps = [], []
     for n, (direct, lv) in enumerate(zip(mt.levels, tower_levels(trunc, mt.N))):
         redone = pushout_product(lv.arrow, LM)
         try:
-            top = FPMap(redone.dom, direct.dom, Matrix.identity(base, redone.dom.ngens))
-            bottom = FPMap(redone.cod, direct.cod, Matrix.identity(base, redone.cod.ngens))
-            cmp_map = ArrowMap(redone, direct, top, bottom)
+            cmp_map = _identity_on_generators(redone, direct)
             entry = {"level": n, "ok": cmp_map.is_iso()}
         except ValueError as err:
             cmp_map = None

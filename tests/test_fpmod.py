@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SMALL_RINGS, ZZ, poly_from_coeffs
-from adic_smith.linalg import Matrix
+from adic_smith import fpmod, linalg
+from adic_smith.linalg import Matrix, matvec, solve_linear
+from adic_smith.linalg import smith_normal_form as linalg_smith
 from adic_smith.fpmod import (
     FPMap,
     FPModule,
@@ -32,6 +34,7 @@ from adic_smith.fpmod import (
     tensor_swap,
     uncurry,
 )
+from adic_smith.rings import PolyRing, QuotientRing
 
 F2X = SMALL_RINGS["F2x"]
 
@@ -114,6 +117,104 @@ def test_presentation_order_irrelevant(g, cols):
     N = FPModule(ZZ, g, list(reversed(cols)) + [[0] * g])
     assert M == N
     assert M.structure() == N.structure()
+
+
+# -- Hermite answers against a Smith reference ------------------------
+
+HERMITE_BASES = {"ZZ": ZZ, "F2x": F2X, "Qx": SMALL_RINGS["Qx"]}
+
+
+def base_entries(key):
+    """Canonical payloads of the base ring ``key``: small integers, or
+    polynomials of degree at most 2 (Q[x] with fractional coefficients)."""
+    base = HERMITE_BASES[key]
+    if key == "ZZ":
+        return st.integers(-6, 6)
+    coeff = st.integers(0, 1) if key == "F2x" else st.fractions(-2, 2, max_denominator=3)
+    return st.lists(coeff, max_size=3).map(lambda cs: base.coerce_payload(tuple(cs)))
+
+
+def base_units(key):
+    base = HERMITE_BASES[key]
+    if key == "ZZ":
+        return st.sampled_from([1, -1])
+    if key == "F2x":
+        return st.just(base.one)
+    return st.fractions(-2, 2, max_denominator=3).filter(bool).map(lambda c: base.coerce_payload((c,)))
+
+
+@st.composite
+def presentations(draw):
+    """(module, probe vectors): 0-4 generators over
+    Z, F_2[x] or Q[x], with or without a quotient modulus, the columns
+    mixing random, zero, duplicate and unit columns.  The probes are
+    random vectors and R-combinations of the raw columns."""
+    key = draw(st.sampled_from(sorted(HERMITE_BASES)))
+    base, entry = HERMITE_BASES[key], base_entries(key)
+    g = draw(st.integers(0, 4))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["random", "zero", "duplicate", "unit"]), max_size=5)):
+        if kind == "random":
+            cols.append(draw(st.lists(entry, min_size=g, max_size=g)))
+        elif kind == "zero" or (kind == "duplicate" and not cols) or (kind == "unit" and not g):
+            cols.append([base.zero] * g)
+        elif kind == "duplicate":
+            cols.append(list(draw(st.sampled_from(cols))))
+        else:
+            col = [base.zero] * g
+            col[draw(st.integers(0, g - 1))] = draw(base_units(key))
+            cols.append(col)
+    modulus = draw(st.one_of(st.none(), entry.filter(lambda d: d != base.zero)))
+    algebra = base if modulus is None else QuotientRing(base, modulus)
+    M = FPModule(algebra, g, cols)
+    raw = cols + [[modulus if i == k else base.zero for i in range(g)] for k in range(g) if modulus is not None]
+    probes = draw(st.lists(st.lists(entry, min_size=g, max_size=g), max_size=3))
+    for _ in range(2):
+        coeffs = draw(st.lists(entry, min_size=len(raw), max_size=len(raw)))
+        probes.append(matvec(Matrix.from_cols(base, raw, g), coeffs))
+    return M, probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+def test_hermite_answers_match_snf_reference(case):
+    M, probes = case
+    base, cert = M.base, M.rel_cert()
+    diag = cert.diagonal()[: cert.rank]
+    free = M.ngens - cert.rank
+    factors = [d for d in diag if not base.is_unit(d)]
+    assert M.free_rank() == free
+    assert M.is_zero_module() == (free == 0 and not factors)
+    if isinstance(base, PolyRing):
+        assert M.dim_over_field() == (sum(len(d) - 1 for d in factors) if free == 0 else None)
+    for v in probes:
+        assert M.is_zero_vec(v) == (solve_linear(M.rel, v, cert) is not None)
+
+
+def test_hermite_questions_build_no_smith_form(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append((A.m, A.n))
+        return linalg_smith(A)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    monkeypatch.setattr(fpmod, "smith_normal_form", counted)
+    Qx, A = SMALL_RINGS["Qx"], QuotientRing(F2X, x_pow(4))
+    qx = poly_from_coeffs(Qx, [0, 1])
+    for src, dst, mat in [
+        (FPModule(ZZ, 2, [[4, 6], [0, 10]]), FPModule.cyclic(ZZ, 2), [[1, 1]]),
+        (FPModule.cyclic(ZZ, 0), FPModule.free(ZZ, 2), [[3], [5]]),
+        (FPModule.cyclic(A, x_pow(3)), FPModule.cyclic(A, x_pow(2)), [[x_pow(1)]]),
+        (FPModule(Qx, 2, [[qx, qx]]), FPModule.cyclic(Qx, qx), [[1, 2]]),
+    ]:
+        f = FPMap(src, dst, mat, check=True)
+        for M in (src, dst):
+            M.free_rank(), M.is_zero_module()
+        f.is_surjective()
+    with pytest.raises(ValueError, match="respect"):
+        FPMap(FPModule.cyclic(ZZ, 2), FPModule.cyclic(ZZ, 4), [[1]])
+    assert calls == []
 
 
 # -- maps -------------------------------------------------------------
