@@ -70,32 +70,19 @@ class FPModule:
         if isinstance(rel_cols, Matrix):
             if rel_cols.ring != base or rel_cols.m != ngens:
                 raise ValueError(f"relation matrix is not {ngens} rows over {base!r}")
-            cols = rel_cols.cols()
+            raw = rel_cols
         else:
             cols = [[base.coerce_payload(x) for x in c] for c in rel_cols]
             if any(len(c) != ngens for c in cols):
                 raise ValueError(f"relation length mismatch, wanted {ngens}")
+            raw = Matrix.from_cols(base, cols, ngens)
         if modulus is not None:
-            for i in range(ngens):
-                col = [base.zero] * ngens
-                col[i] = modulus
-                cols.append(col)
-        raw = Matrix.from_cols(base, cols, ngens)
-        H = column_hermite(raw)
-        zero = base.zero
-        keep = [j for j in range(H.n) if any(H.rows[i][j] != zero for i in range(ngens))]
+            raw = hstack(raw, Matrix.diagonal(base, [modulus] * ngens, ngens, ngens))
         self.algebra = algebra
         self.base = base
         self.modulus = modulus
         self.ngens = ngens
-        self.rel = Matrix.from_cols(base, [H.col(j) for j in keep], ngens)
-        pivots = []
-        for j in range(self.rel.n):
-            for i in range(ngens):
-                if self.rel.rows[i][j] != zero:
-                    pivots.append((i, j))
-                    break
-        self._pivots = tuple(pivots)
+        self.rel, self._pivots = column_hermite(raw)
         self._rel_cert = None
 
     # -- constructors -------------------------------------------------
@@ -265,7 +252,13 @@ class FPMap:
             raise ValueError("maps need a common algebra")
         if not isinstance(mat, Matrix):
             coerce = src.base.coerce_payload
-            mat = Matrix(src.base, [[coerce(x) for x in r] for r in mat], shape=(dst.ngens, src.ngens))
+            rows = [[coerce(x) for x in r] for r in mat]
+            if len(rows) != dst.ngens or any(len(r) != src.ngens for r in rows):
+                raise ValueError(
+                    f"matrix rows are not {dst.ngens}x{src.ngens} for map "
+                    f"{src.ngens} -> {dst.ngens} generators"
+                )
+            mat = Matrix(src.base, rows, shape=(dst.ngens, src.ngens))
         if (mat.m, mat.n) != (dst.ngens, src.ngens):
             raise ValueError(
                 f"matrix {mat.m}x{mat.n} against map "
@@ -617,8 +610,7 @@ def base_change(M: FPModule, new_algebra: Ring, entry_map) -> FPModule:
 
 
 def base_change_map(f: FPMap, src: FPModule, dst: FPModule, entry_map) -> FPMap:
-    rows = [[entry_map(x) for x in r] for r in f.mat.rows]
-    return FPMap(src, dst, Matrix(src.base, rows, shape=(dst.ngens, src.ngens)))
+    return FPMap(src, dst, f.mat.map_entries(entry_map, src.base))
 
 
 # -- canonical decomposition ------------------------------------------

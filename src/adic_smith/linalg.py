@@ -14,7 +14,11 @@ Matrices store ring payloads row-major, and those payloads must already
 be canonical (see ``rings``): nothing in this module coerces.  Values
 from a caller are coerced where they enter the package, in ``FPModule``,
 ``FPMap``, ``SmithIdeal`` and the CLI parser; every payload built from
-them by ring operations is canonical again.  Every Euclidean ring, Z
+them by ring operations is canonical again.  Shapes follow the same
+contract: rows are equal-length tuples, ``Matrix`` takes them as given,
+and rows or columns from a caller are length-checked where they enter
+(the same entry points, plus vector lengths in ``matvec``); products and
+stacks check only that their operands fit.  Every Euclidean ring, Z
 included, goes through the one ring-op kernel ``_snf_generic``; its pivot
 rule is minimal euclidean size, first in row-major order.
 """
@@ -28,20 +32,11 @@ class Matrix:
     __slots__ = ("ring", "m", "n", "rows")
 
     def __init__(self, ring: Ring, rows, shape=None):
-        rows = tuple(tuple(r) for r in rows)
-        if shape is not None:
-            m, n = shape
-            if len(rows) != m or any(len(r) != n for r in rows):
-                raise ValueError(f"shape mismatch: wanted {m}x{n}")
-        else:
-            m = len(rows)
-            n = len(rows[0]) if rows else 0
-            if any(len(r) != n for r in rows):
-                raise ValueError("ragged rows")
         self.ring = ring
-        self.m = m
-        self.n = n
-        self.rows = rows
+        self.rows = rows = tuple(map(tuple, rows))
+        if shape is None:
+            shape = (len(rows), len(rows[0]) if rows else 0)
+        self.m, self.n = shape
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -60,11 +55,8 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, ring: Ring, cols, m: int) -> "Matrix":
-        cols = [tuple(c) for c in cols]
-        if any(len(c) != m for c in cols):
-            raise ValueError(f"column height mismatch: wanted {m}")
-        rows = list(zip(*cols)) if cols else [()] * m
-        return cls(ring, rows, shape=(m, len(cols)))
+        """The m-row matrix whose columns are the sequence ``cols``."""
+        return cls(ring, zip(*cols) if cols else [()] * m, shape=(m, len(cols)))
 
     @classmethod
     def diagonal(cls, ring: Ring, entries, m: int, n: int) -> "Matrix":
@@ -84,11 +76,7 @@ class Matrix:
         return [self.col(j) for j in range(self.n)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ring,
-            [[self.rows[i][j] for i in range(self.m)] for j in range(self.n)],
-            shape=(self.n, self.m),
-        )
+        return Matrix.from_cols(self.ring, self.rows, self.n)
 
     def is_zero(self) -> bool:
         z = self.ring.zero
@@ -258,7 +246,7 @@ class SNFCertificate:
 
     __slots__ = ("ring", "D", "U", "V", "U_inv", "V_inv", "det_u", "det_v", "rank")
 
-    def __init__(self, ring, D, U, V, U_inv, V_inv, det_u, det_v):
+    def __init__(self, ring, D, U, V, U_inv, V_inv, det_u, det_v, rank):
         self.ring = ring
         self.D = D
         self.U = U
@@ -267,12 +255,7 @@ class SNFCertificate:
         self.V_inv = V_inv
         self.det_u = det_u
         self.det_v = det_v
-        zero = ring.zero
-        r = 0
-        for i in range(min(D.m, D.n)):
-            if D.rows[i][i] != zero:
-                r += 1
-        self.rank = r
+        self.rank = rank
 
     def diagonal(self):
         return [self.D.rows[i][i] for i in range(min(self.D.m, self.D.n))]
@@ -282,7 +265,7 @@ def smith_normal_form(A: Matrix) -> SNFCertificate:
     ring = A.ring
     if not ring.is_euclidean:
         raise TypeError(f"SNF needs a Euclidean ring, got {ring!r}")
-    D, U, V, Ui, Vi, du, dv = _snf_generic(ring, A.m, A.n, A.rows)
+    D, U, V, Ui, Vi, du, dv, rank = _snf_generic(ring, A.m, A.n, A.rows)
     mk = lambda rows, m, n: Matrix(ring, rows, shape=(m, n))
     return SNFCertificate(
         ring,
@@ -293,11 +276,12 @@ def smith_normal_form(A: Matrix) -> SNFCertificate:
         mk(Vi, A.n, A.n),
         du,
         dv,
+        rank,
     )
 
 
 def _snf_generic(ring: Ring, m, n, rows):
-    """(D, U, V, U_inv, V_inv, det_u, det_v) of an m x n payload matrix.
+    """(D, U, V, U_inv, V_inv, det_u, det_v, rank) of an m x n payload matrix.
 
     Pivot rule: the nonzero entry of minimal euclidean size over the whole
     trailing block, first in row-major scan order, re-picked on every
@@ -432,7 +416,7 @@ def _snf_generic(ring: Ring, m, n, rows):
                 Ui[r][i] = mul(uinv, Ui[r][i])
             det_u[0] = mul(u, det_u[0])
 
-    return M, U, V, Ui, Vi, det_u[0], det_v[0]
+    return M, U, V, Ui, Vi, det_u[0], det_v[0], rank
 
 
 def solve_linear(A: Matrix, b, cert: SNFCertificate | None = None):
@@ -467,7 +451,7 @@ def solve_matrix(A: Matrix, B: Matrix, cert: SNFCertificate | None = None):
         if x is None:
             return None
         cols.append(x)
-    return Matrix.from_cols(A.ring, cols, A.n) if cols else Matrix.zeros(A.ring, A.n, 0)
+    return Matrix.from_cols(A.ring, cols, A.n)
 
 
 def kernel_basis(A: Matrix, cert: SNFCertificate | None = None) -> Matrix:
@@ -475,7 +459,7 @@ def kernel_basis(A: Matrix, cert: SNFCertificate | None = None) -> Matrix:
     if cert is None:
         cert = smith_normal_form(A)
     cols = [cert.V.col(j) for j in range(cert.rank, A.n)]
-    return Matrix.from_cols(A.ring, cols, A.n) if cols else Matrix.zeros(A.ring, A.n, 0)
+    return Matrix.from_cols(A.ring, cols, A.n)
 
 
 def det(A: Matrix):
@@ -510,9 +494,11 @@ def det(A: Matrix):
     return ring.mul(sign, M[n - 1][n - 1])
 
 
-def column_hermite(A: Matrix) -> Matrix:
-    """H = A V in column echelon form for some unimodular V, which is
-    not kept: H has the column span of A.
+def column_hermite(A: Matrix):
+    """(H, pivots): H is the reduced column Hermite form of A with its
+    zero columns dropped, so its columns are a basis of the column span
+    of A; pivots lists, per column j of H, the (row, j) of its first
+    nonzero entry, rows strictly increasing.
 
     Pivots are canonical associates; entries left of a pivot are reduced
     mod the pivot. Deterministic: same pivot rule as the SNF sweep.
@@ -576,4 +562,5 @@ def column_hermite(A: Matrix) -> Matrix:
                 if q != zero:
                     col_sub(j, cc, q)
 
-    return Matrix(ring, H, shape=(m, n))
+    # column echelon form: every column from len(pivots) on is zero
+    return Matrix(ring, [r[:c] for r in H], shape=(m, c)), tuple(pivots)

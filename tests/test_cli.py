@@ -241,6 +241,13 @@ MALFORMED_DOCS = [
      "ideals.I.generators: missing"),
     ({"rings": {"Z": {"kind": "integers"}}, "ideals": {"I": {"ring": ["Z"], "generators": [2]}}},
      "ideals.I.ring: expected a ring name"),
+    ({"rings": {"Z": {"kind": "integers"}},
+      "ideals": {"I": {"ring": "Z", "generators": [2, 3]}},
+      "maps": {"f": {"source": "I", "target": "I", "top": [[1, 0], [0]], "bottom": [[1]]}}},
+     "maps.f.top: expected a 2x2 matrix"),
+    ({"rings": {"Z": {"kind": "integers"}},
+      "modules": {"M": {"ring": "Z", "generators": 2, "relations": [[2, 0], [3]]}}},
+     "modules.M.relations[1]: relation column needs 2 entries"),
 ]
 
 

@@ -257,6 +257,10 @@ def test_public_entries_coerce_payloads(ring_key):
         FPMap(M, M, [["x", 0], [0, 1]])
     with pytest.raises(ValueError):
         FPModule(R, 1, [["x"]])
+    # Matrix trusts its rows, so the row path checks the shape itself
+    for rows in ([[1, 0], [0]], [[1, 0]], [[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="2x2"):
+            FPMap(M, M, rows)
 
 
 def test_scalar_and_algebra_on_maps():

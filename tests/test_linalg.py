@@ -154,19 +154,18 @@ def test_det_matches_cofactor_expansion(rng):
 def test_column_hermite_preserves_column_span(rng):
     for _ in range(10):
         A = random_int_matrix(rng, 3, 4, bound=6)
-        H = column_hermite(A)
+        H, pivots = column_hermite(A)
         # spans agree: each column of H solvable from A and vice versa
         assert solve_matrix(A, H) is not None
         assert solve_matrix(H, A) is not None
-        # column echelon form: each nonzero column's first nonzero row is
-        # strictly below the previous one, and zero columns come last
-        lead = []
-        for j in range(H.n):
-            rows = [i for i in range(H.m) if H.rows[i][j] != 0]
-            if not rows:
-                assert all(not any(H.col(t)) for t in range(j, H.n))
-                break
-            lead.append(rows[0])
+        # column echelon form with the zero columns dropped: one pivot per
+        # column, at the column's first nonzero row, rows strictly
+        # increasing
+        assert H.n == len(pivots)
+        for j, (r, c) in enumerate(pivots):
+            assert c == j
+            assert [i for i in range(H.m) if H.rows[i][j] != 0][0] == r
+        lead = [r for r, _ in pivots]
         assert lead == sorted(set(lead))
         for j, r in enumerate(lead):
             p = H.rows[r][j]
