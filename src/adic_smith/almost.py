@@ -15,7 +15,7 @@ by the image u_d^(2^(d-e)) of u_e.
 
 from __future__ import annotations
 
-from adic_smith.arrowcat import Arrow, ArrowMap, embed, pushout_product
+from adic_smith.arrowcat import Arrow, embed, pushout_product
 from adic_smith.fpmod import (
     FPMap,
     FPModule,
@@ -27,7 +27,7 @@ from adic_smith.fpmod import (
 )
 from adic_smith.linalg import Matrix, hstack
 from adic_smith.rings import PolyRing, QuotientRing, algebra_split
-from adic_smith.tower import SmithIdeal, truncate
+from adic_smith.tower import SmithIdeal, identity_on_generators, tower_levels
 
 
 class AlmostContext:
@@ -265,16 +265,11 @@ def almost_adic_check(ctx: AlmostContext, ideal: SmithIdeal, am: AlmostModule, N
         raise ValueError("ideal and module need a common algebra")
     LM = embed("L1", M)
     levels = []
-    for n in range(N + 1):
-        lv = truncate(ideal, n)
+    for lv in tower_levels(ideal, N):
         box = pushout_product(lv.arrow, LM)
-        img = _image_form_level(ideal, M, n)
-        base = M.base
-        top = FPMap(box.dom, img.dom, Matrix.identity(base, box.dom.ngens))
-        bottom = FPMap(box.cod, img.cod, Matrix.identity(base, box.cod.ngens))
-        cmp_map = ArrowMap(box, img, top, bottom)
-        tv = almost_iso_to_depth(ctx, top, K)
-        bv = almost_iso_to_depth(ctx, bottom, K)
+        cmp_map = identity_on_generators(box, _image_form_level(ideal, M, lv.n))
+        tv = almost_iso_to_depth(ctx, cmp_map.top, K)
+        bv = almost_iso_to_depth(ctx, cmp_map.bottom, K)
         depths = {
             e: {
                 "almost_injective": tv.at(e)["almost_injective"] and bv.at(e)["almost_injective"],
@@ -283,5 +278,5 @@ def almost_adic_check(ctx: AlmostContext, ideal: SmithIdeal, am: AlmostModule, N
             }
             for e in range(K + 1)
         }
-        levels.append({"level": n, "exact_iso": cmp_map.is_iso(), "depths": depths})
+        levels.append({"level": lv.n, "exact_iso": cmp_map.is_iso(), "depths": depths})
     return LevelDepthVerdict(levels)

@@ -31,7 +31,7 @@ from .tower import (
 )
 from .monomial import MonomialLocalRing, TowerTooLarge, monomial_tower, parse_monomial, default_var_names
 from .almost import AlmostContext, AlmostModule, almost_adic_check, almost_zero_to_depth
-from .oracle import FiniteCorpus, check_monoidal_laws, LAW_NAMES
+from .oracle import MAX_ORDER, FiniteCorpus, check_monoidal_laws, LAW_NAMES
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -515,6 +515,9 @@ def main(argv=None) -> int:
         if value < least:
             sys.stderr.write(f"input error: {flag}: must be >= {least}, got {value}\n")
             return EXIT_INPUT
+    if args.max_order > MAX_ORDER:
+        sys.stderr.write(f"input error: --max-order: must be <= {MAX_ORDER}, got {args.max_order}\n")
+        return EXIT_INPUT
     if args.command != "tower" and args.engine == "monomial":
         sys.stderr.write("input error: --engine: only tower supports the monomial engine\n")
         return EXIT_INPUT

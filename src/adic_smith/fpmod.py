@@ -21,9 +21,11 @@ Each question goes to one normal form.  The stored Hermite form answers
 membership (``reduce_vec`` is zero exactly on the lattice; ``FPMap``
 certifies well-definedness this way), the free rank (its columns are
 independent), the zero test, the size and the k-dimension (its pivots
-multiply to the product of the invariant factors).  The relation Smith
-form, built on first use, answers invariant factors, isomorphism type,
-``minimal_decomposition``, kernels and solves.
+multiply to the product of the invariant factors).  Injectivity,
+surjectivity and exactness test membership of kernel columns (one SNF)
+in a relation lattice, or of the target in the span of the image.
+The relation Smith form, built on first use, answers invariant
+factors, isomorphism type, ``minimal_decomposition``, kernels and solves.
 """
 
 from __future__ import annotations
@@ -340,10 +342,12 @@ class FPMap:
         return self.mat.is_zero()
 
     # -- exactness ----------------------------------------------------
+    def _kernel_cols(self) -> Matrix:
+        return _projected_kernel(hstack(self.mat, self.dst.rel), self.src.ngens)
+
     def kernel(self):
         """(K, incl) with incl: K -> src exact onto the kernel."""
-        G = _projected_kernel(hstack(self.mat, self.dst.rel), self.src.ngens)
-        return submodule(self.src, G)
+        return submodule(self.src, self._kernel_cols())
 
     def image(self):
         """(I, incl) with incl: I -> dst exact onto the image."""
@@ -354,12 +358,11 @@ class FPMap:
         return quotient(self.dst, self.mat)
 
     def is_injective(self) -> bool:
-        K, _ = self.kernel()
-        return K.is_zero_module()
+        return all(self.src.is_zero_vec(c) for c in self._kernel_cols().cols())
 
     def is_surjective(self) -> bool:
-        C, _ = self.cokernel()
-        return C.is_zero_module()
+        dst = self.dst
+        return FPModule(dst.algebra, dst.ngens, hstack(dst.rel, self.mat)).is_zero_module()
 
     def is_iso(self) -> bool:
         return self.is_surjective() and self.is_injective()
@@ -419,16 +422,15 @@ def factor_through(u: FPMap, through: FPMap):
 def is_exact_pair(f: FPMap, g: FPMap) -> bool:
     """Does im(f) = ker(g) hold inside f.dst = g.src?
 
-    Certified both ways: the composite vanishes, and every generator of
-    ker(g) factors through the image of f.
+    Certified both ways: the composite vanishes, and every kernel
+    column of g is zero modulo the image of f and the relations of f.dst.
     """
     if f.dst != g.src:
         raise ValueError("exactness needs composable maps")
     if not (g * f).is_zero_map():
         return False
-    _, ik = g.kernel()
-    _, ii = f.image()
-    return factor_through(ik, ii) is not None
+    coker = FPModule(f.dst.algebra, f.dst.ngens, hstack(f.dst.rel, f.mat))
+    return all(coker.is_zero_vec(c) for c in g._kernel_cols().cols())
 
 
 def direct_sum(M: FPModule, N: FPModule):

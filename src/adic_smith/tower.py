@@ -223,7 +223,7 @@ def truncate(ideal: SmithIdeal, n: int) -> TowerLevel:
     return TowerLevel(n, arrow, loc, vanishes)
 
 
-def _identity_on_generators(source: Arrow, target: Arrow) -> ArrowMap:
+def identity_on_generators(source: Arrow, target: Arrow) -> ArrowMap:
     """The square whose top and bottom maps are identity matrices on the
     generators; both maps and the square are certified, and a failure
     raises ValueError."""
@@ -235,7 +235,7 @@ def _identity_on_generators(source: Arrow, target: Arrow) -> ArrowMap:
 
 def transition_map(upper: TowerLevel, lower: TowerLevel) -> ArrowMap:
     """The canonical surjection P^n -> P^{n-1} (identity on generators)."""
-    return _identity_on_generators(upper.arrow, lower.arrow)
+    return identity_on_generators(upper.arrow, lower.arrow)
 
 
 def tower_levels(ideal: SmithIdeal, N: int):
@@ -282,7 +282,7 @@ def truncated_ideal(ideal: SmithIdeal, lv: TowerLevel) -> SmithIdeal:
 
 def localization_to_truncation(ideal: SmithIdeal, trunc: SmithIdeal) -> ArrowMap:
     """The canonical map j -> (truncated j), identity on generators."""
-    return _identity_on_generators(ideal.j, trunc.j)
+    return identity_on_generators(ideal.j, trunc.j)
 
 
 # -- graded pieces ----------------------------------------------------
@@ -485,7 +485,7 @@ def truncation_composition(ideal: SmithIdeal, m: int, n: int):
     trunc = truncated_ideal(ideal, truncate(ideal, n))
     outer = truncate(trunc, m)
     direct = truncate(ideal, min(m, n))
-    cmp_map = _identity_on_generators(outer.arrow, direct.arrow)
+    cmp_map = identity_on_generators(outer.arrow, direct.arrow)
     return cmp_map, cmp_map.is_iso()
 
 
@@ -499,7 +499,7 @@ def check_module_complete(mt: ModuleTower) -> LevelVerdict:
     for n, (direct, lv) in enumerate(zip(mt.levels, tower_levels(trunc, mt.N))):
         redone = pushout_product(lv.arrow, LM)
         try:
-            cmp_map = _identity_on_generators(redone, direct)
+            cmp_map = identity_on_generators(redone, direct)
             entry = {"level": n, "ok": cmp_map.is_iso()}
         except ValueError as err:
             cmp_map = None

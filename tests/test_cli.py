@@ -13,7 +13,7 @@ import pytest
 
 from adic_smith.cli import main
 from adic_smith.monomial import MONOMIAL_BUDGET
-from adic_smith.oracle import LAW_NAMES
+from adic_smith.oracle import LAW_NAMES, MAX_ORDER
 from adic_smith.rings import IntegerRing
 from adic_smith.tower import SmithIdeal, Tower
 
@@ -371,19 +371,24 @@ def test_negative_depth_refused():
     check_exit2(["almost", "--depth", "-1"], "input error: --depth: must be >= 0, got -1")
 
 
-BELOW_ONE_RUNS = [
-    (["--max-order", "-3"], "--max-order", -3),
-    (["--max-order", "0"], "--max-order", 0),
-    (["--pair-bound", "0", "--triple-bound", "0"], "--pair-bound", 0),
-    (["--triple-bound", "0"], "--triple-bound", 0),
+CORPUS_BOUND_RUNS = [
+    (["--max-order", "-3"], "--max-order: must be >= 1, got -3"),
+    (["--max-order", "0"], "--max-order: must be >= 1, got 0"),
+    (["--pair-bound", "0", "--triple-bound", "0"], "--pair-bound: must be >= 1, got 0"),
+    (["--triple-bound", "0"], "--triple-bound: must be >= 1, got 0"),
+    (["--max-order", "100"], f"--max-order: must be <= {MAX_ORDER}, got 100"),
 ]
 
 
 @pytest.mark.parametrize(
-    "extra,flag,value", BELOW_ONE_RUNS, ids=["max-order-neg", "max-order-zero", "pair-triple-zero", "triple-zero"]
+    "extra,needle",
+    CORPUS_BOUND_RUNS,
+    ids=["max-order-neg", "max-order-zero", "pair-triple-zero", "triple-zero", "max-order-above-guardrail"],
 )
-def test_corpus_bounds_below_one_refused(extra, flag, value):
-    check_exit2(["verify-laws", "--ring", "z2"] + extra, f"input error: {flag}: must be >= 1, got {value}")
+def test_corpus_bounds_below_one_refused(extra, needle):
+    """Bounds below 1, and a corpus bound past the oracle's guardrail,
+    exit 2 naming the flag."""
+    check_exit2(["verify-laws", "--ring", "z2"] + extra, f"input error: {needle}")
 
 
 def test_monomial_tower_past_budget_names_levels():

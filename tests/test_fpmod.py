@@ -22,6 +22,7 @@ from adic_smith.fpmod import (
     base_change,
     curry,
     direct_sum,
+    factor_through,
     find_iso,
     is_exact_pair,
     minimal_decomposition,
@@ -192,16 +193,23 @@ def test_hermite_answers_match_snf_reference(case):
 
 
 def test_hermite_questions_build_no_smith_form(monkeypatch):
-    calls = []
+    """Hermite questions build no SNF; a map predicate builds at most
+    the one SNF of a kernel and the one Hermite form of a quotient."""
+    calls, hermites = [], []
 
     def counted(A):
         calls.append((A.m, A.n))
         return linalg_smith(A)
 
+    def counted_hermite(A):
+        hermites.append((A.m, A.n))
+        return linalg.column_hermite(A)
+
     monkeypatch.setattr(linalg, "smith_normal_form", counted)
     monkeypatch.setattr(fpmod, "smith_normal_form", counted)
     Qx, A = SMALL_RINGS["Qx"], QuotientRing(F2X, x_pow(4))
     qx = poly_from_coeffs(Qx, [0, 1])
+    maps = []
     for src, dst, mat in [
         (FPModule(ZZ, 2, [[4, 6], [0, 10]]), FPModule.cyclic(ZZ, 2), [[1, 1]]),
         (FPModule.cyclic(ZZ, 0), FPModule.free(ZZ, 2), [[3], [5]]),
@@ -212,9 +220,22 @@ def test_hermite_questions_build_no_smith_form(monkeypatch):
         for M in (src, dst):
             M.free_rank(), M.is_zero_module()
         f.is_surjective()
+        maps.append(f)
     with pytest.raises(ValueError, match="respect"):
         FPMap(FPModule.cyclic(ZZ, 2), FPModule.cyclic(ZZ, 4), [[1]])
     assert calls == []
+    # the cokernel projections are built before counting starts
+    pairs = [(f, quotient(f.dst, f.mat)[1]) for f in maps]
+    monkeypatch.setattr(fpmod, "column_hermite", counted_hermite)
+    for f, proj in pairs:
+        for predicate, args, snfs, forms in [
+            (FPMap.is_injective, (f,), 1, 0),
+            (FPMap.is_surjective, (f,), 0, 1),
+            (is_exact_pair, (f, proj), 1, 1),
+        ]:
+            calls.clear(), hermites.clear()
+            predicate(*args)
+            assert (len(calls), len(hermites)) == (snfs, forms), predicate.__name__
 
 
 # -- maps -------------------------------------------------------------
@@ -324,6 +345,81 @@ def test_exact_pair_positive_and_negative():
     assert not is_exact_pair(z, p)
 
 
+def old_is_injective(f):
+    K, _ = f.kernel()
+    return K.is_zero_module()
+
+
+def old_is_surjective(f):
+    C, _ = f.cokernel()
+    return C.is_zero_module()
+
+
+def old_is_exact_pair(f, g):
+    if not (g * f).is_zero_map():
+        return False
+    _, ik = g.kernel()
+    _, ii = f.image()
+    return factor_through(ik, ii) is not None
+
+
+@st.composite
+def map_pairs(draw):
+    """(f, g) with f: A -> B and g: B -> C over Z, F_2[x] or Q[x], with
+    or without a modulus, 0-3 generators each.  Each target takes the
+    images of its source's relations among its own, so both maps are
+    well defined.  g is random, the cokernel projection of f (exact), or
+    a projection onto a coarser quotient (g f = 0, exact or not)."""
+    key = draw(st.sampled_from(sorted(HERMITE_BASES)))
+    base, entry = HERMITE_BASES[key], base_entries(key)
+    modulus = draw(st.one_of(st.none(), entry.filter(lambda d: d != base.zero)))
+    algebra = base if modulus is None else QuotientRing(base, modulus)
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+    def columns(n, most):
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=most))
+
+    def matrix(m, n):
+        return Matrix(base, draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)), shape=(m, n))
+
+    def images(mat, cols):
+        return [matvec(mat, c) for c in cols]
+
+    rel_a, F = columns(a, 2), matrix(b, a)
+    rel_b = columns(b, 2) + images(F, rel_a)
+    f = FPMap(FPModule(algebra, a, rel_a), FPModule(algebra, b, rel_b), F)
+    kind = draw(st.sampled_from(["random", "cokernel", "coarser"]))
+    if kind == "random":
+        c = draw(st.integers(1, 3))
+        G = matrix(c, b)
+        rel_c = columns(c, 2) + images(G, rel_b)
+    else:
+        c, G = b, Matrix.identity(base, b)
+        rel_c = rel_b + [F.col(j) for j in range(a)] + (columns(b, 1) if kind == "coarser" else [])
+    return f, FPMap(f.dst, FPModule(algebra, c, rel_c), G)
+
+
+def small_elements(M):
+    count = M.element_count()
+    return M.elements() if count is not None and count <= 64 else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(map_pairs())
+def test_map_predicates_match_module_building_reference(pair):
+    f, g = pair
+    for h in (f, g):
+        assert h.is_injective() == old_is_injective(h)
+        assert h.is_surjective() == old_is_surjective(h)
+        src, dst = small_elements(h.src), small_elements(h.dst)
+        if src is not None and dst is not None:
+            assert h.is_injective() == (len(kernel_set(h)) == 1)
+            assert h.is_surjective() == (image_set(h) == set(dst))
+    assert is_exact_pair(f, g) == old_is_exact_pair(f, g)
+    if small_elements(f.dst) is not None and small_elements(f.src) is not None:
+        assert is_exact_pair(f, g) == (image_set(f) == kernel_set(g))
+
+
 def test_factorization_through_kernel():
     M = FPModule.cyclic(ZZ, 8)
     f = FPMap.scalar(M, 4)
@@ -331,7 +427,6 @@ def test_factorization_through_kernel():
     # any map killed by f factors through ker(f)
     g = FPMap(FPModule.cyclic(ZZ, 4), M, [[2]])
     assert (f * g).is_zero_map()
-    from adic_smith.fpmod import factor_through
 
     v = factor_through(g, ik)
     assert v is not None and ik * v == g
