@@ -29,6 +29,15 @@ from adic_smith.linalg import Matrix, hstack
 from adic_smith.rings import PolyRing, QuotientRing, algebra_split
 from adic_smith.tower import SmithIdeal, identity_on_generators, tower_levels
 
+# Depth budgets of the ``almost`` command.  Depth K lifts t to u_K^(2^K),
+# a payload of 2^K + 1 coefficients, so the work roughly doubles with
+# each step of depth.  The run at depth 20, three levels, takes about
+# 0.4 s and 47 MB; the torsion witness runs its Hermite forms on those
+# payloads and takes about 5 s and 55 MB at depth 16.  Deeper requests
+# are refused before anything is built.
+MAX_DEPTH = 20
+MAX_WITNESS_DEPTH = 16
+
 
 class AlmostContext:
     """The ladder V_0 .. V_K with its identifications.

@@ -12,6 +12,7 @@ on stderr with nothing on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,7 +31,14 @@ from .tower import (
     yekutieli_compare,
 )
 from .monomial import MonomialLocalRing, TowerTooLarge, monomial_tower, parse_monomial, default_var_names
-from .almost import AlmostContext, AlmostModule, almost_adic_check, almost_zero_to_depth
+from .almost import (
+    MAX_DEPTH,
+    MAX_WITNESS_DEPTH,
+    AlmostContext,
+    AlmostModule,
+    almost_adic_check,
+    almost_zero_to_depth,
+)
 from .oracle import MAX_ORDER, FiniteCorpus, check_monoidal_laws, LAW_NAMES
 
 EXIT_OK = 0
@@ -384,6 +392,10 @@ def cmd_yekutieli(args, doc):
 
 def cmd_almost(args, doc):
     K = args.depth
+    if args.witness and K > MAX_WITNESS_DEPTH:
+        raise InputError("--depth", f"must be <= {MAX_WITNESS_DEPTH} with --witness, got {K}")
+    if K > MAX_DEPTH:
+        raise InputError("--depth", f"must be <= {MAX_DEPTH}, got {K}")
     ctx = AlmostContext(GF(2), K)
     R0 = ctx.ring(0)
     t = R0.gen
@@ -457,7 +469,10 @@ HANDLERS = {
 NEEDS_DOCUMENT = ("graded", "complete-check", "analytic-check", "adic-module", "yekutieli")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one (``parse_args`` leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE", help="JSON document with rings/modules/ideals/maps")
     common.add_argument("--levels", type=int, default=4, metavar="N", help="tower depth (default 4)")

@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import reprlib
 from fractions import Fraction
-from itertools import product
+from itertools import product, takewhile
 from math import gcd
+from operator import not_
 
 # Largest exponent ``Ring.pow`` accepts.  Documents reach it through
 # "a^n"; with repeated squaring 2^1024 or x^1024 is instant, while the
@@ -423,9 +424,14 @@ class ModRing(Ring):
 
 
 def _strip(coeffs: list) -> tuple:
-    """The coefficient list without trailing zeros, as a payload tuple."""
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
+    """The coefficient list without trailing zeros, as a payload tuple.
+    A run of zeros is measured once (``takewhile`` runs in C) and cut off
+    with one slice; a single zero is popped."""
+    if coeffs and not coeffs[-1]:
+        if len(coeffs) > 1 and not coeffs[-2]:
+            del coeffs[len(coeffs) - len(list(takewhile(not_, reversed(coeffs)))) :]
+        else:
+            coeffs.pop()
     return tuple(coeffs)
 
 
@@ -461,10 +467,7 @@ class PolyRing(Ring):
         else:
             for i, c in enumerate(b):
                 out[i] += c
-        if len(a) == len(b):
-            while out and not out[-1]:
-                out.pop()
-        return tuple(out)
+        return _strip(out) if len(a) == len(b) else tuple(out)
 
     def sub(self, a, b):
         n = len(a)
@@ -478,10 +481,7 @@ class PolyRing(Ring):
         else:
             for i, c in enumerate(b[:n]):
                 out[i] -= c
-        if len(b) == n:
-            while out and not out[-1]:
-                out.pop()
-        return tuple(out)
+        return _strip(out) if len(b) == n else tuple(out)
 
     def neg(self, a):
         p = self._p
@@ -502,8 +502,7 @@ class PolyRing(Ring):
                     k += 1
         p = self._p
         if p:
-            for k, c in enumerate(out):
-                out[k] = c % p
+            return tuple([c % p for c in out])
         return tuple(out)
 
     def from_int(self, k):
@@ -551,11 +550,8 @@ class PolyRing(Ring):
                     k += 1
         del rem[db:]
         if p:
-            for k, c in enumerate(rem):
-                rem[k] = c % p
-        while rem and not rem[-1]:
-            rem.pop()
-        return tuple(q), tuple(rem)
+            rem = [c % p for c in rem]
+        return tuple(q), _strip(rem)
 
     def euclid_size(self, a):
         return len(a) - 1 if a else 0

@@ -22,6 +22,16 @@ against the products themselves certifies the whole matrix.  Truncation
 (m = 1), graded pieces (n against n+1), route (c) of the power
 comparison and mu_n all take their coordinates from it.
 
+Each product is computed once per ideal.  The ideal keeps one table
+per degree, {sorted multiset c: reduced product over c}, built on first
+use from the table one degree below: the product over c is the product
+over c[:-1] times generator c[-1], reduced once.  ``power_products``
+and ``product_coords`` both read these tables, so truncation, graded
+pieces, the power routes and the almost layer's image-form levels all
+share them, and a tower of N levels does one multiplication per
+product instead of n for each n-fold product at every request.  An
+ideal lives for one command, so the tables need no eviction.
+
 A level's ``power_map_vanishes`` certifies that the composite
 I^(tensor n+1) -> I -> I/I^{n+1} of mu_{n+1} with the truncation is zero.
 A module map is zero exactly when it kills every generator, and the
@@ -48,7 +58,7 @@ level-indexed verdict obtained by re-truncating the level-N data.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from adic_smith.arrowcat import (
     Arrow,
@@ -80,9 +90,12 @@ class SmithIdeal:
     mono at construction.  Closure under products needs no check: the
     algebra A = R/(f) is cyclic over R, so the R-span of the generators
     is already an ideal (g_i g_j is g_i times the generator g_j).
+
+    Generator products are carried up by degree and kept for the life
+    of the ideal (see the module docstring); construction computes none.
     """
 
-    __slots__ = ("algebra", "base", "modulus", "ambient", "gens", "gen_mat", "I", "incl")
+    __slots__ = ("algebra", "base", "modulus", "ambient", "gens", "gen_mat", "I", "incl", "_products")
 
     def __init__(self, algebra: Ring, gens, ambient_modulus=None):
         base, modulus = algebra_split(algebra)
@@ -97,6 +110,7 @@ class SmithIdeal:
         self.I, self.incl = submodule(ambient, self.gen_mat)
         if not self.incl.is_injective():
             raise ValueError("ideal inclusion is not mono")
+        self._products = []
 
     @property
     def j(self) -> Arrow:
@@ -107,18 +121,31 @@ class SmithIdeal:
         return self.ambient.rel.rows[0][0] if self.ambient.rel.n else None
 
     # -- powers and multiplication ------------------------------------
-    def _product(self, combo):
-        """The reduced product of the generators indexed by ``combo``."""
-        base = self.base
-        p = base.one
-        for t in combo:
-            p = base.mul(p, self.gens[t])
-        return self.ambient.reduce_vec([p])[0]
+    def _product_table(self, n: int):
+        """{sorted index multiset c: reduced product over c} for |c| = n,
+        in the order of the sorted multisets.  Degree n is built once,
+        on first use, from degree n-1: the product over c is the product
+        over c[:-1] times generator c[-1], reduced."""
+        if n < 0:
+            raise ValueError("product degree must be >= 0")
+        table = self._products
+        base, gens, reduce_vec = self.base, self.gens, self.ambient.reduce_vec
+        if not table:
+            table.append({(): reduce_vec([base.one])[0]})
+        while len(table) <= n:
+            table.append(
+                {
+                    c + (t,): reduce_vec([base.mul(p, gens[t])])[0]
+                    for c, p in table[-1].items()
+                    for t in range(c[-1] if c else 0, len(gens))
+                }
+            )
+        return table[n]
 
     def power_products(self, n: int):
         """All n-fold products of the generators, reduced; I^0 gives [1].
         The order is that of the sorted index multisets."""
-        return [self._product(c) for c in combinations_with_replacement(range(len(self.gens)), n)]
+        return list(self._product_table(n).values())
 
     def product_coords(self, m: int, n: int) -> Matrix:
         """X with power_products(m) X = power_products(n) modulo the
@@ -131,15 +158,14 @@ class SmithIdeal:
         if not 0 <= m <= n:
             raise ValueError("product coordinates need 0 <= m <= n")
         base = self.base
-        k = len(self.gens)
-        row = {c: i for i, c in enumerate(combinations_with_replacement(range(k), m))}
-        combos = list(combinations_with_replacement(range(k), n))
-        rows = [[base.zero] * len(combos) for _ in row]
-        for j, c in enumerate(combos):
-            rows[row[c[:m]]][j] = self._product(c[m:])
-        X = Matrix(base, rows, shape=(len(row), len(combos)))
-        G = Matrix(base, [self.power_products(m)], shape=(1, len(row)))
-        for x, p in zip((G * X).rows[0], self.power_products(n)):
+        heads, tails, prods = self._product_table(m), self._product_table(n - m), self._product_table(n)
+        row = {c: i for i, c in enumerate(heads)}
+        rows = [[base.zero] * len(prods) for _ in row]
+        for j, c in enumerate(prods):
+            rows[row[c[:m]]][j] = tails[c[m:]]
+        X = Matrix(base, rows, shape=(len(row), len(prods)))
+        G = Matrix(base, [list(heads.values())], shape=(1, len(row)))
+        for x, p in zip((G * X).rows[0], prods.values()):
             if not self.ambient.is_zero_vec([base.sub(x, p)]):
                 raise AssertionError("generator products do not multiply out")
         return X
@@ -161,7 +187,7 @@ class SmithIdeal:
             raise ValueError("mu needs n >= 1")
         k = len(self.gens)
         X = self.product_coords(1, n)
-        col = {c: j for j, c in enumerate(combinations_with_replacement(range(k), n))}
+        col = {c: j for j, c in enumerate(self._product_table(n))}
         # Tensor generator (t_1, ..., t_n) sits at flat index
         # sum t_i k^(n-i), the order of itertools.product.
         cols = [X.col(col[tuple(sorted(t))]) for t in product(range(k), repeat=n)]

@@ -8,9 +8,12 @@ must name the JSON path or flag it came from on stderr.
 import io
 import contextlib
 import json
+import time
 
 import pytest
 
+from adic_smith import cli
+from adic_smith.almost import MAX_DEPTH, MAX_WITNESS_DEPTH
 from adic_smith.cli import main
 from adic_smith.monomial import MONOMIAL_BUDGET
 from adic_smith.oracle import LAW_NAMES, MAX_ORDER
@@ -371,6 +374,24 @@ def test_negative_depth_refused():
     check_exit2(["almost", "--depth", "-1"], "input error: --depth: must be >= 0, got -1")
 
 
+DEPTH_BOUND_RUNS = [
+    (["--depth", "1000", "--levels", "1"], f"input error: --depth: must be <= {MAX_DEPTH}, got 1000"),
+    (
+        ["--depth", str(MAX_WITNESS_DEPTH + 1), "--witness"],
+        f"input error: --depth: must be <= {MAX_WITNESS_DEPTH} with --witness, got {MAX_WITNESS_DEPTH + 1}",
+    ),
+]
+
+
+@pytest.mark.parametrize("extra,needle", DEPTH_BOUND_RUNS, ids=["above-budget", "witness-above-budget"])
+def test_depth_above_budget_refused(extra, needle):
+    """Depths past the ladder's budget exit 2 naming the flag, before
+    anything is built."""
+    start = time.perf_counter()
+    check_exit2(["almost"] + extra, needle)
+    assert time.perf_counter() - start < 1.0
+
+
 CORPUS_BOUND_RUNS = [
     (["--max-order", "-3"], "--max-order: must be >= 1, got -3"),
     (["--max-order", "0"], "--max-order: must be >= 1, got 0"),
@@ -443,6 +464,20 @@ def test_verify_laws_bad_law():
 def test_unknown_command_is_usage_error():
     code, _, _ = run_cli(["frobnicate"])
     assert code == 2
+
+
+def test_parser_built_once_and_reused(doc):
+    """One parser serves every call, and a usage error leaves nothing
+    behind in it: the valid run prints the same bytes after one."""
+    cli.build_parser.cache_clear()
+    valid = ["tower", "--input", doc, "--ideal", "p2", "--levels", "2"]
+    alone = run_cli(valid)
+    for bad in (["tower", "--levels", "two"], ["tower", "--frobnicate"], []):
+        code, out, err = run_cli(bad)
+        assert code == 2 and out == "" and err.startswith("usage: adic-smith"), (bad, err)
+        assert run_cli(valid) == alone
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser.cache_info().misses == 1
 
 
 # -- work per command -------------------------------------------------

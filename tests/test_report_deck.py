@@ -15,6 +15,12 @@ calls to native accumulation with one reduction per coefficient.  The
 two long monomial towers, (x^3, y^2, xy) to level 30 and
 (x^2, y^2, z^2, w^2, xyz) to level 6, were captured from the box
 enumeration of standard monomials, before the order-function walk.
+The runs on the second document (``@2``: x over F_2[x] to level 300,
+and Q[x] ideals with non-integer coefficients) were captured while
+every generator product was still multiplied out from 1, before
+products were carried up from one degree to the next.  They live in a
+document of their own so that the name lists of the error runs above
+stay as frozen.
 """
 
 import contextlib
@@ -65,7 +71,19 @@ DECK_DOC = {
     },
 }
 
-# (id, argv); "@" stands for the document path.
+LONG_DOC = {
+    "rings": {
+        "F2x": {"kind": "poly", "coeff": {"fp": 2}, "var": "x"},
+        "Qx": {"kind": "poly", "coeff": "rationals", "var": "x"},
+    },
+    "ideals": {
+        "fxx": {"ring": "F2x", "generators": ["x"]},
+        "qlin": {"ring": "Qx", "generators": ["1/2*x + 1/3"]},
+        "qfr": {"ring": "Qx", "generators": ["2/3*x^2 - 1/2", "x^3 + 5/7*x"]},
+    },
+}
+
+# (id, argv); "@" and "@2" stand for the paths of DECK_DOC and LONG_DOC.
 DECK = [
     ("tower-z2", ["tower", "--input", "@", "--ideal", "z2", "--levels", "3"]),
     ("tower-z46-cert", ["tower", "--input", "@", "--ideal", "z46", "--levels", "3", "--with-certificates"]),
@@ -153,6 +171,10 @@ DECK = [
                            "--levels", "30"]),
     ("tower-monomial-4v-f3", ["tower", "--engine", "monomial", "--ideal", "x^2,y^2,z^2,w^2,x*y*z",
                               "--vars", "x,y,z,w", "--ring", "F3", "--levels", "6"]),
+    ("tower-fxx-300", ["tower", "--input", "@2", "--ideal", "fxx", "--levels", "300"]),
+    ("tower-qlin-12-cert", ["tower", "--input", "@2", "--ideal", "qlin", "--levels", "12",
+                            "--with-certificates"]),
+    ("graded-qfr-3", ["graded", "--input", "@2", "--ideal", "qfr", "--levels", "3"]),
 ]
 
 # id -> (exit code, md5 of stdout + stderr)
@@ -231,11 +253,14 @@ FROZEN = {
     'tower-qq-6-cert': (0, '5d9ca2531bbc87ddf5bbd7bdfe7eb6c1'),
     'tower-monomial-30': (0, 'd09bd0fc7b5e853f919d6839b8fd1bc9'),
     'tower-monomial-4v-f3': (0, 'fbc2f5e24e1562c5b8d81e90ee72a19c'),
+    'tower-fxx-300': (0, '6c3e2e33fd7f52413cda435d01a5931d'),
+    'tower-qlin-12-cert': (0, '3ec33823f46ad95886d1472b30151fba'),
+    'graded-qfr-3': (0, 'ccb672a9effd0859e9172f961849ebdc'),
 }
 
 
-def _run(doc_path, argv):
-    argv = [doc_path if a == "@" else a for a in argv]
+def _run(doc_paths, argv):
+    argv = [doc_paths.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -244,9 +269,13 @@ def _run(doc_path, argv):
 
 @pytest.fixture(scope="module")
 def deck_doc(tmp_path_factory):
-    p = tmp_path_factory.mktemp("deck") / "deck.json"
-    p.write_text(json.dumps(DECK_DOC))
-    return str(p)
+    """The document paths by placeholder."""
+    d = tmp_path_factory.mktemp("deck")
+    paths = {}
+    for mark, doc, name in (("@", DECK_DOC, "deck.json"), ("@2", LONG_DOC, "long.json")):
+        (d / name).write_text(json.dumps(doc))
+        paths[mark] = str(d / name)
+    return paths
 
 
 def test_deck_covers_every_run():

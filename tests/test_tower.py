@@ -8,7 +8,8 @@ Z/p^{n+1} and every graded piece is Z/p; likewise with x for k[x].
 
 import hashlib
 import json
-from itertools import product
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from conftest import SMALL_RINGS, ZZ, poly_from_coeffs
 from adic_smith.fpmod import FPMap, FPModule, are_isomorphic, quotient
 from adic_smith.arrowcat import ArrowMap
 from adic_smith.linalg import Matrix, hstack, solve_matrix
+from adic_smith.rings import GF, ModRing, PolyRing, QuotientRing
 from adic_smith.tower import (
     GradedPiece,
     ModuleTower,
@@ -445,6 +447,67 @@ def test_product_coords_range():
         truncated_ideal(I, truncate(I, -1))
     with pytest.raises(ValueError):
         tower_levels(I, -1)
+
+
+# -- carried generator products against the from-scratch reference ---
+
+F3Q = QuotientRing(PolyRing(GF(3), "x"), x_pow(PolyRing(GF(3), "x"), 4))
+
+
+def scratch_product(I, combo):
+    """The reduced product over ``combo``, multiplied out from 1."""
+    p = I.base.one
+    for t in combo:
+        p = I.base.mul(p, I.gens[t])
+    return I.ambient.reduce_vec([p])[0]
+
+
+def _poly(ring, coeffs):
+    return ring.coerce_payload(tuple(coeffs))
+
+
+_small_int = st.integers(-12, 12)
+_f2_poly = st.lists(st.integers(0, 1), max_size=4).map(lambda cs: _poly(F2X, cs))
+_f3_poly = st.lists(st.integers(0, 2), max_size=4).map(lambda cs: _poly(F3Q.base, cs))
+_q_coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+_q_poly = st.lists(_q_coeff, max_size=3).map(lambda cs: _poly(QX, cs))
+# (algebra, generator strategy, ambient moduli to draw from)
+PRODUCT_RINGS = [
+    (ZZ, _small_int, [None, 8, 12, 27]),
+    (ModRing(72), _small_int, [None, 12, 5]),
+    (F2X, _f2_poly, [None, _poly(F2X, [0, 1, 1, 1]), x_pow(F2X, 5)]),
+    (F3Q, _f3_poly, [None, _poly(F3Q.base, [0, 0, 1]), _poly(F3Q.base, [1, 1])]),
+    (QX, _q_poly, [None, _poly(QX, [Fraction(1, 3), 0, Fraction(-2, 5), 1])]),
+]
+
+
+@st.composite
+def carried_cases(draw):
+    """(ideal, m, n) with 1-4 generators and 0 <= m <= n <= 6."""
+    ring, elems, moduli = draw(st.sampled_from(PRODUCT_RINGS))
+    gens = draw(st.lists(elems, min_size=1, max_size=4))
+    n = draw(st.integers(0, 6))
+    return SmithIdeal(ring, gens, ambient_modulus=draw(st.sampled_from(moduli))), draw(st.integers(0, n)), n
+
+
+@given(carried_cases())
+@settings(max_examples=150, deadline=None)
+def test_carried_products_match_scratch_products(drawn):
+    """Products carried up from degree n-1 equal products multiplied out
+    from 1, in the order of the sorted index multisets, whichever degree
+    is asked for first."""
+    I, m, n = drawn
+    k = len(I.gens)
+    X = I.product_coords(m, n)
+    row = {c: i for i, c in enumerate(combinations_with_replacement(range(k), m))}
+    combos = list(combinations_with_replacement(range(k), n))
+    ref = [[I.base.zero] * len(combos) for _ in row]
+    for j, c in enumerate(combos):
+        ref[row[c[:m]]][j] = scratch_product(I, c[m:])
+    assert X.rows == tuple(map(tuple, ref))
+    for d in range(n + 1):
+        expected = [scratch_product(I, c) for c in combinations_with_replacement(range(k), d)]
+        assert I.power_products(d) == expected, d
 
 
 def test_graded_rels_of_unit_ideals_frozen():
