@@ -29,14 +29,16 @@ from adic_smith.linalg import Matrix, hstack
 from adic_smith.rings import PolyRing, QuotientRing, algebra_split
 from adic_smith.tower import SmithIdeal, identity_on_generators, tower_levels
 
-# Depth budgets of the ``almost`` command.  Depth K lifts t to u_K^(2^K),
-# a payload of 2^K + 1 coefficients, so the work roughly doubles with
-# each step of depth.  The run at depth 20, three levels, takes about
-# 0.4 s and 47 MB; the torsion witness runs its Hermite forms on those
-# payloads and takes about 5 s and 55 MB at depth 16.  Deeper requests
-# are refused before anything is built.
-MAX_DEPTH = 20
-MAX_WITNESS_DEPTH = 16
+# Depth budgets of the ``almost`` command: the deepest depths whose run
+# stays within 60 s and 512 MB peak resident memory.  Depth K lifts t to
+# u_K^(2^K), a payload of 2^K + 1 coefficients, so time and memory double
+# with each step of depth.  Measured at --levels 3 and 4 on a 2-core
+# machine with Python 3.11: depth 24 takes 2-3 s and 492 MB, depth 25
+# 5 s and 940 MB; with --witness, whose Hermite forms run on those
+# payloads, depth 19 takes 31-46 s and 310-413 MB, depth 20 over 60 s.
+# Deeper requests are refused before anything is built.
+MAX_DEPTH = 24
+MAX_WITNESS_DEPTH = 19
 
 
 class AlmostContext:

@@ -392,10 +392,6 @@ def cmd_yekutieli(args, doc):
 
 def cmd_almost(args, doc):
     K = args.depth
-    if args.witness and K > MAX_WITNESS_DEPTH:
-        raise InputError("--depth", f"must be <= {MAX_WITNESS_DEPTH} with --witness, got {K}")
-    if K > MAX_DEPTH:
-        raise InputError("--depth", f"must be <= {MAX_DEPTH}, got {K}")
     ctx = AlmostContext(GF(2), K)
     R0 = ctx.ring(0)
     t = R0.gen
@@ -533,6 +529,11 @@ def main(argv=None) -> int:
     if args.max_order > MAX_ORDER:
         sys.stderr.write(f"input error: --max-order: must be <= {MAX_ORDER}, got {args.max_order}\n")
         return EXIT_INPUT
+    if args.command == "almost":
+        most, note = (MAX_WITNESS_DEPTH, " with --witness") if args.witness else (MAX_DEPTH, "")
+        if args.depth > most:
+            sys.stderr.write(f"input error: --depth: must be <= {most}{note}, got {args.depth}\n")
+            return EXIT_INPUT
     if args.command != "tower" and args.engine == "monomial":
         sys.stderr.write("input error: --engine: only tower supports the monomial engine\n")
         return EXIT_INPUT

@@ -425,13 +425,10 @@ class ModRing(Ring):
 
 def _strip(coeffs: list) -> tuple:
     """The coefficient list without trailing zeros, as a payload tuple.
-    A run of zeros is measured once (``takewhile`` runs in C) and cut off
-    with one slice; a single zero is popped."""
+    The run of zeros is measured once (``takewhile`` runs in C) and cut
+    off with one slice."""
     if coeffs and not coeffs[-1]:
-        if len(coeffs) > 1 and not coeffs[-2]:
-            del coeffs[len(coeffs) - len(list(takewhile(not_, reversed(coeffs)))) :]
-        else:
-            coeffs.pop()
+        del coeffs[len(coeffs) - len(list(takewhile(not_, reversed(coeffs)))) :]
     return tuple(coeffs)
 
 

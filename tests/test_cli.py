@@ -380,13 +380,19 @@ DEPTH_BOUND_RUNS = [
         ["--depth", str(MAX_WITNESS_DEPTH + 1), "--witness"],
         f"input error: --depth: must be <= {MAX_WITNESS_DEPTH} with --witness, got {MAX_WITNESS_DEPTH + 1}",
     ),
+    (
+        ["--depth", "1000", "--input", "/no/such/file.json"],
+        f"input error: --depth: must be <= {MAX_DEPTH}, got 1000",
+    ),
 ]
 
 
-@pytest.mark.parametrize("extra,needle", DEPTH_BOUND_RUNS, ids=["above-budget", "witness-above-budget"])
+@pytest.mark.parametrize(
+    "extra,needle", DEPTH_BOUND_RUNS, ids=["above-budget", "witness-above-budget", "above-budget-before-document"]
+)
 def test_depth_above_budget_refused(extra, needle):
     """Depths past the ladder's budget exit 2 naming the flag, before
-    anything is built."""
+    anything is built or read."""
     start = time.perf_counter()
     check_exit2(["almost"] + extra, needle)
     assert time.perf_counter() - start < 1.0
