@@ -5,8 +5,27 @@ elements with tabulated addition and scalar action; tensors are built
 by closing bilinearity and scalar-balancing relations over explicit
 generator pairs; categorical laws are checked by enumerating every
 arrow tuple under a size bound and reporting counts plus verbatim
-counterexamples.  Deliberately slow and simple: the value is that an
-agreement with the engine means two unrelated computations concur.
+counterexamples.  The value is that an agreement with the engine means
+two unrelated computations concur.
+
+Elements are integers: indices into a table's ``names``, the labels a
+reader sees (tuples of residues for corpus modules, coset vectors for
+tensors, index pairs for pushout products).  Addition is the lookup
+``sum[x][y]`` and the scalar action ``act[r][x]``, the scalar ``r`` an
+index into the ring's ``names``; over the integers there is no ``act``.
+Derived tables are built from their parent's tables by index arithmetic
+and keep its numbering.  A sub-table (a kernel) shares its parent's
+names, rows and orders, so its elements are the parent's indices.  A
+quotient (a cokernel) keeps the first element of each coset, so a map
+defined on the parent can be read on them, and relabels the parent's
+rows onto them.  A pushout product quotients the pairs (u, v) of its two
+tensor tables' elements, numbered ``u * len(T10) + v``, without
+tabulating their direct sum.  Corpus, quotient and pushout tables fill
+their addition rows when they are built, and the last two fill a scalar
+row when it is first read; a tensor table fills each row of ``sum`` and
+``act`` when it is first read, and takes its element orders from its
+coset vectors.  Every table derives its presentation when ``gens``,
+``coords`` or ``rels`` is first read.
 
 Module maps are found by one depth-first search over per-generator
 image candidates (``_homs``).  It checks each relation and each scalar
@@ -31,6 +50,7 @@ also available as a scalar domain for plain abelian-group examples.
 from __future__ import annotations
 
 import functools
+import math
 from contextvars import ContextVar
 from itertools import product as iproduct
 
@@ -60,27 +80,18 @@ def _shared_in_audit(build):
 
 
 class TableRing:
-    """Finite commutative ring by tables, or the integers (elements None)."""
+    """Finite commutative ring by index tables over its element names, or
+    the integers (names None)."""
 
-    __slots__ = ("name", "elements", "zero", "one", "_add", "_mul")
+    __slots__ = ("name", "names", "elements", "is_integers", "add", "mul")
 
-    def __init__(self, name, elements, zero, one, add, mul):
+    def __init__(self, name, names, add, mul):
         self.name = name
-        self.elements = tuple(elements) if elements is not None else None
-        self.zero = zero
-        self.one = one
-        self._add = add
-        self._mul = mul
-
-    @property
-    def is_integers(self):
-        return self.elements is None
-
-    def add(self, a, b):
-        return self._add(a, b)
-
-    def mul(self, a, b):
-        return self._mul(a, b)
+        self.names = names
+        self.elements = None if names is None else range(len(names))
+        self.is_integers = names is None
+        self.add = add
+        self.mul = mul
 
     def __repr__(self):
         return f"TableRing({self.name})"
@@ -89,75 +100,109 @@ class TableRing:
 def corpus_ring(name: str) -> TableRing:
     if name in ("z2", "z3", "z4"):
         m = int(name[1:])
-        return TableRing(name, range(m), 0, 1, lambda a, b: (a + b) % m, lambda a, b: (a * b) % m)
+        els = tuple(range(m))
+        return TableRing(
+            name, els, [[(a + b) % m for b in els] for a in els], [[(a * b) % m for b in els] for a in els]
+        )
     if name == "f2x":
-        els = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        # a + b*x, with x^2 = 0
+        els = ((0, 0), (1, 0), (0, 1), (1, 1))
+        index = {x: i for i, x in enumerate(els)}
         return TableRing(
             "f2x",
             els,
-            (0, 0),
-            (1, 0),
-            lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2),
-            lambda a, b: ((a[0] * b[0]) % 2, (a[0] * b[1] + a[1] * b[0]) % 2),
+            [[index[((a + c) % 2, (b + d) % 2)] for c, d in els] for a, b in els],
+            [[index[(a * c % 2, (a * d + b * c) % 2)] for c, d in els] for a, b in els],
         )
     if name == "zz":
-        return TableRing("zz", None, 0, 1, lambda a, b: a + b, lambda a, b: a * b)
+        return TableRing("zz", None, None, None)
     raise ValueError(f"unknown oracle ring {name!r}")
 
 
+class _Lazy(dict):
+    """A table whose entry for a key is ``fill(key)``, computed when first
+    read and kept."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class TableModule:
-    """Element set with addition and scalar action, plus a derived
-    presentation (generators, integer coordinates, relation vectors)
-    recovered by walking the span of each generator in turn."""
+    """Element set with addition and scalar action, plus a presentation
+    (generators, integer coordinates, relation vectors) recovered by
+    walking the span of each generator in turn when it is first read.
+
+    ``names[x]`` labels element x; ``sum[x][y]`` and ``act[r][x]`` are the
+    elements x + y and r * x (``act`` is None over the integers).  The
+    module's elements are ``elements``, all of ``names`` by default, and
+    ``orders[x]`` is computed from ``sum`` when not given."""
 
     __slots__ = (
-        "ring", "elements", "zero", "_add", "_smul",
-        "gens", "coords", "rels", "exponent", "_orders",
+        "ring", "names", "elements", "zero", "sum", "act",
+        "gens", "coords", "rels", "exponent", "orders",
     )
 
-    def __init__(self, ring: TableRing, elements, add, smul):
+    def __init__(self, ring: TableRing, names, sum, act, elements=None, orders=None):
         self.ring = ring
-        self.elements = tuple(sorted(elements))
-        self._add = add
-        self._smul = smul
-        self.zero = next(x for x in self.elements if add(x, x) == x)
-        self._orders = {}
-        for x in self.elements:
-            y, o = x, 1
-            while y != self.zero:
-                y = add(y, x)
-                o += 1
-            self._orders[x] = o
-        self.exponent = 1
-        for o in self._orders.values():
-            g = _gcd(self.exponent, o)
-            self.exponent = self.exponent // g * o
-        self._derive_presentation()
+        self.names = names
+        self.elements = els = tuple(range(len(names)) if elements is None else sorted(elements))
+        self.sum = sum
+        self.act = act
+        if orders is None:
+            zero = next(x for x in els if sum[x][x] == x)
+            orders = {}
+            for x in els:
+                row, y, o = sum[x], x, 1
+                while y != zero:
+                    y = row[y]
+                    o += 1
+                orders[x] = o
+        self.orders = orders
+        for x in els:
+            if orders[x] == 1:
+                self.zero = x
+                break
+        self.exponent = math.lcm(*map(orders.__getitem__, els))
+
+    def __getattr__(self, name):
+        # gens, coords and rels are derived when first read
+        if name in ("gens", "coords", "rels"):
+            self._derive_presentation()
+            return getattr(self, name)
+        raise AttributeError(name)
 
     # -- arithmetic ---------------------------------------------------
     def add(self, x, y):
-        return self._add(x, y)
+        return self.sum[x][y]
 
     def smul(self, r, x):
-        return self._smul(r, x)
+        return self.act[r][x]
 
     def int_mul(self, k: int, x):
-        k %= self._orders[x]
-        y = self.zero
-        for _ in range(k):
-            y = self._add(y, x)
+        row, y = self.sum[x], self.zero
+        for _ in range(k % self.orders[x]):
+            y = row[y]
         return y
 
     def order_of(self, x) -> int:
-        return self._orders[x]
+        return self.orders[x]
 
     def combine(self, vec, images):
         """sum of vec[i] * images[i]; images under a zero coefficient
         are never read."""
-        y = self.zero
+        y, sum, orders = self.zero, self.sum, self.orders
         for c, g in zip(vec, images):
             if c:
-                y = self._add(y, self.int_mul(c, g))
+                row = sum[g]
+                for _ in range(c % orders[g]):
+                    y = row[y]
         return y
 
     # -- derived presentation -----------------------------------------
@@ -173,14 +218,16 @@ class TableModule:
             if x in coords:
                 continue
             gens.append(x)
-            span = [(e, c + (0,)) for e, c in coords.items()]
-            coords = dict(span)
-            y, j = x, 1
-            while y not in coords:
-                for e, c in span:
-                    coords[self._add(e, y)] = c[:-1] + (j,)
-                y, j = self._add(y, x), j + 1
-            rels.append(tuple(-c for c in coords[y][:-1]) + (j,))
+            # layer j is S + j*x, listed in the order of S; its first
+            # element is j*x, since S lists zero first
+            row, span, prefixes = self.sum[x], list(coords), list(coords.values())
+            coords = {e: c + (0,) for e, c in coords.items()}
+            layer, j = [row[e] for e in span], 1
+            while layer[0] not in coords:
+                for e, c in zip(layer, prefixes):
+                    coords[e] = c + (j,)
+                layer, j = [row[e] for e in layer], j + 1
+            rels.append(tuple(-c for c in coords[layer[0]][:-1]) + (j,))
         k = len(gens)
         self.gens = tuple(gens)
         self.coords = coords
@@ -188,15 +235,16 @@ class TableModule:
 
     def scalar_gen_coords(self, r, i):
         """Coordinates of r * gens[i]."""
-        return self.coords[self._smul(r, self.gens[i])]
+        return self.coords[self.act[r][self.gens[i]]]
 
     # -- invariants ---------------------------------------------------
     def torsion_counts(self):
-        out = {}
-        for d in range(1, self.exponent + 1):
-            if self.exponent % d == 0:
-                out[d] = sum(1 for x in self.elements if self.int_mul(d, x) == self.zero)
-        return out
+        """d -> #{x : d * x = 0}, that is the elements whose order divides d."""
+        return {
+            d: sum(1 for x in self.elements if d % self.orders[x] == 0)
+            for d in range(1, self.exponent + 1)
+            if self.exponent % d == 0
+        }
 
     def fingerprint(self):
         """Complete iso invariant on the corpus: size, d-torsion counts,
@@ -206,7 +254,7 @@ class TableModule:
             scal = ()
         else:
             scal = tuple(
-                sum(1 for x in self.elements if self._smul(r, x) == self.zero)
+                sum(1 for x in self.elements if self.act[r][x] == self.zero)
                 for r in self.ring.elements
             )
         return (len(self.elements), tor, scal)
@@ -216,12 +264,6 @@ class TableModule:
 
     def __len__(self):
         return len(self.elements)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def invariant_factors_from_torsion(order: int, counts: dict):
@@ -256,44 +298,48 @@ def invariant_factors_from_torsion(order: int, counts: dict):
 
 
 # -- corpus construction ---------------------------------------------
+#
+# A factor is (names, sum, act) over one ring, its names in sorted order,
+# so that a product of factors lists its tuple names in sorted order.
 
 
-def _cyclic_int_factor(d: int):
+def _cyclic_factor(ring: TableRing, d: int):
     """Z/d with integer-like scalar action (works over Z/m and Z)."""
-    return {
-        "elements": tuple(range(d)),
-        "add": lambda a, b: (a + b) % d,
-        "smul": lambda r, a: (r * a) % d,
-    }
+    act = None
+    if not ring.is_integers:
+        act = [[(r * a) % d for a in range(d)] for r in ring.names]
+    return tuple(range(d)), [[(a + b) % d for b in range(d)] for a in range(d)], act
 
 
 def _f2x_regular(ring: TableRing):
-    return {
-        "elements": ring.elements,
-        "add": ring.add,
-        "smul": ring.mul,
-    }
+    order = sorted(ring.elements, key=ring.names.__getitem__)
+    pos = {x: i for i, x in enumerate(order)}
+    return (
+        tuple(ring.names[x] for x in order),
+        [[pos[ring.add[x][y]] for y in order] for x in order],
+        [[pos[row[x]] for x in order] for row in ring.mul],
+    )
 
 
-def _f2x_trivial():
-    return {
-        "elements": (0, 1),
-        "add": lambda a, b: (a + b) % 2,
-        "smul": lambda r, a: (r[0] * a) % 2,
-    }
+def _f2x_trivial(ring: TableRing):
+    return (0, 1), [[0, 1], [1, 0]], [[(r[0] * a) % 2 for a in (0, 1)] for r in ring.names]
 
 
 def product_module(ring: TableRing, factors) -> TableModule:
-    factors = list(factors)
-    els = list(iproduct(*[f["elements"] for f in factors]))
-
-    def add(x, y):
-        return tuple([f["add"](a, b) for f, a, b in zip(factors, x, y)])
-
-    def smul(r, x):
-        return tuple([f["smul"](r, a) for f, a in zip(factors, x)])
-
-    return TableModule(ring, els, add, smul)
+    """Direct product of the factors.  Each factor of size d sends element
+    x of the product so far, with its element b, to x * d + b."""
+    names, sum, act = [()], [[0]], None if ring.is_integers else [[0] for _ in ring.elements]
+    for f_names, f_sum, f_act in factors:
+        d = len(f_names)
+        names = [x + (b,) for x in names for b in f_names]
+        sum = [
+            [s * d + t for s in row for t in f_row]
+            for row in sum
+            for f_row in f_sum
+        ]
+        if act is not None:
+            act = [[s * d + t for s in row for t in f_row] for row, f_row in zip(act, f_act)]
+    return TableModule(ring, tuple(names), sum, act)
 
 
 def zero_table_module(ring: TableRing) -> TableModule:
@@ -301,7 +347,7 @@ def zero_table_module(ring: TableRing) -> TableModule:
 
 
 def cyclic_table_module(ring: TableRing, d: int) -> TableModule:
-    return product_module(ring, [_cyclic_int_factor(d)])
+    return product_module(ring, [_cyclic_factor(ring, d)])
 
 
 class FiniteCorpus:
@@ -317,9 +363,9 @@ class FiniteCorpus:
         self.max_order = max_order
         if ring_name in ("z2", "z3", "z4"):
             m = int(ring_name[1:])
-            opts = [(d, _cyclic_int_factor(d), str(d)) for d in range(2, m + 1) if m % d == 0]
+            opts = [(d, _cyclic_factor(self.ring, d), str(d)) for d in range(2, m + 1) if m % d == 0]
         elif ring_name == "f2x":
-            opts = [(2, _f2x_trivial(), "k"), (4, _f2x_regular(self.ring), "R")]
+            opts = [(2, _f2x_trivial(self.ring), "k"), (4, _f2x_regular(self.ring), "R")]
         else:
             raise ValueError("corpus needs a finite ring")
         built = []
@@ -364,8 +410,8 @@ def hom_candidates(M: TableModule, N: TableModule):
     """Per-generator image candidates (additive order constraint)."""
     out = []
     for g in M.gens:
-        o = M.order_of(g)
-        out.append([y for y in N.elements if N.int_mul(o, y) == N.zero])
+        o = M.orders[g]
+        out.append([y for y in N.elements if o % N.orders[y] == 0])
     return out
 
 
@@ -399,7 +445,7 @@ def _homs(M: TableModule, N: TableModule):
         for y in cands[d]:
             ys[d] = y
             if all(
-                N.combine(v, ys) == (N.zero if r is None else N.smul(r, ys[i]))
+                N.combine(v, ys) == (N.zero if r is None else N.act[r][ys[i]])
                 for r, i, v in eqs[d]
             ):
                 yield from walk(d + 1)
@@ -431,7 +477,7 @@ def hom_torsion_structure(M: TableModule, N: TableModule):
     for ys in _homs(M, N):
         total += 1
         for d in divisors:
-            counts[d] += all(d % N.order_of(y) == 0 for y in ys)
+            counts[d] += all(d % N.orders[y] == 0 for y in ys)
     exp = next(d for d in divisors if counts[d] == total)
     full = {d: counts[d] for d in divisors if exp % d == 0}
     return total, invariant_factors_from_torsion(total, full)
@@ -442,73 +488,99 @@ def hom_torsion_structure(M: TableModule, N: TableModule):
 
 class TensorTable:
     """M (x)_R N as a quotient of (Z/e)^(gM*gN) by the closed relation
-    subgroup, with the bilinear pairing into it."""
+    subgroup, with the bilinear pairing into it.  Its elements number the
+    cosets in the order of their first vectors, which are its names."""
 
-    __slots__ = ("module", "pairing", "_M")
+    __slots__ = ("module", "_M", "_N", "_e", "_label", "_names")
 
     def __init__(self, M: TableModule, N: TableModule):
         ring = M.ring
         k, l = len(M.gens), len(N.gens)
-        e = _gcd(M.exponent, N.exponent)
+        e = math.gcd(M.exponent, N.exponent)
         dim = k * l
+        # relations as (position, coefficient) terms: rel (x) n_j, m_i (x) rel,
+        # and the balancing r*m_i (x) n_j - m_i (x) r*n_j
+        terms = []
+        if dim:
+            terms += [[(a * l + j, c) for a, c in enumerate(v)] for v in M.rels for j in range(l)]
+            terms += [[(i * l + b, c) for b, c in enumerate(v)] for v in N.rels for i in range(k)]
+        if dim and not ring.is_integers:
+            terms += [
+                [(a * l + j, c) for a, c in enumerate(M.scalar_gen_coords(r, i))]
+                + [(i * l + b, -c) for b, c in enumerate(N.scalar_gen_coords(r, j))]
+                for i in range(k)
+                for j in range(l)
+                for r in ring.elements
+            ]
         relvecs = set()
-
-        def vec_from(mvec, j=None, i=None):
+        for t in terms:
             v = [0] * dim
-            if j is not None:
-                for a in range(k):
-                    v[a * l + j] = mvec[a] % e
-            else:
-                for b in range(l):
-                    v[i * l + b] = mvec[b] % e
-            return tuple(v)
+            for a, c in t:
+                v[a] += c
+            v = tuple([c % e for c in v])
+            if any(v):
+                relvecs.add(v)
 
-        for mv in M.rels:
-            for j in range(l):
-                v = vec_from(mv, j=j)
-                if any(v):
-                    relvecs.add(v)
-        for nv in N.rels:
-            for i in range(k):
-                v = vec_from(nv, i=i)
-                if any(v):
-                    relvecs.add(v)
-        if not ring.is_integers:
-            for r in ring.elements:
-                for i in range(k):
-                    for j in range(l):
-                        v = [0] * dim
-                        for a, c in enumerate(M.scalar_gen_coords(r, i)):
-                            v[a * l + j] += c
-                        for b, c in enumerate(N.scalar_gen_coords(r, j)):
-                            v[i * l + b] -= c
-                        v = tuple(c % e for c in v)
-                        if any(v):
-                            relvecs.add(v)
+        zero = (0,) * dim
+        sub, frontier = {zero}, [zero]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for w in relvecs:
+                    y = tuple([(a + b) % e for a, b in zip(x, w)])
+                    if y not in sub:
+                        sub.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        label, names = {}, []
+        for x in iproduct(range(e), repeat=dim):
+            if x in label:
+                continue
+            c = len(names)
+            names.append(x)
+            for s in sub:
+                label[tuple([(a + b) % e for a, b in zip(x, s)])] = c
+        orders = []
+        for v in names:
+            o = 1
+            while label[tuple([(o * a) % e for a in v])]:
+                o += 1
+            orders.append(o)
+        self._M, self._N, self._e, self._label, self._names = M, N, e, label, tuple(names)
+        sum = _Lazy(self._sum_row)
+        # coset 0 is the zero vector's, and its row is the identity
+        sum[0] = list(range(len(names)))
+        act = None if ring.is_integers else _Lazy(self._act_row)
+        self.module = TableModule(ring, self._names, sum, act, orders=orders)
 
-        def add(x, y):
-            return tuple([(a + b) % e for a, b in zip(x, y)])
+    def _sum_row(self, x):
+        e, label, names = self._e, self._label, self._names
+        vx = names[x]
+        return [label[tuple([(a + b) % e for a, b in zip(vx, vy)])] for vy in names]
 
-        label, reps = _cosets(iproduct(*[range(e)] * dim), add, (0,) * dim, relvecs)
-        self._M = M
+    def _act_row(self, r):
+        """r * x for every element x, by r acting on the M side of each
+        generator pair."""
+        M, e, l, label = self._M, self._e, len(self._N.gens), self._label
+        # terms[i * l + j]: r * (m_i (x) n_j), as (position, coefficient) pairs
+        terms = [
+            [(a * l + j, c) for a, c in enumerate(M.scalar_gen_coords(r, i)) if c]
+            for i in range(len(M.gens))
+            for j in range(l)
+        ]
+        row = []
+        for x in self._names:
+            v = [0] * len(x)
+            for c, t in zip(x, terms):
+                if c:
+                    for a, ca in t:
+                        v[a] += c * ca
+            row.append(label[tuple([c % e for c in v])])
+        return row
 
-        def smul(r, x):
-            v = [0] * dim
-            for i in range(k):
-                for j in range(l):
-                    c = x[i * l + j]
-                    if c:
-                        for a, ca in enumerate(M.scalar_gen_coords(r, i)):
-                            v[a * l + j] += c * ca
-            return label[tuple(c % e for c in v)]
-
-        self.module = TableModule(ring, reps, lambda x, y: label[add(x, y)], smul)
-
-        def pairing(m, n):
-            cm, cn = M.coords[m], N.coords[n]
-            return label[tuple((cm[i] * cn[j]) % e for i in range(k) for j in range(l))]
-
-        self.pairing = pairing
+    def pairing(self, m, n):
+        cm, cn, e = self._M.coords[m], self._N.coords[n], self._e
+        return self._label[tuple([(a * b) % e for a in cm for b in cn])]
 
 
 def tensor_by_elements(M: TableModule, N: TableModule) -> TableModule:
@@ -542,50 +614,49 @@ class TableArrow:
 
 
 def sub_table(M: TableModule, subset) -> TableModule:
-    return TableModule(M.ring, subset, M._add, M._smul)
+    """The closed subset as a module: M's own names, rows and orders."""
+    return TableModule(M.ring, M.names, M.sum, M.act, subset, M.orders)
 
 
-def _cosets(elements, add, zero, gens):
-    """(label, reps): each element's coset representative modulo the
-    subgroup ``gens`` generate, the first of its coset in ``elements``,
-    and the representatives in that order."""
-    sub = {zero}
-    frontier = [zero]
+def _subgroup(M: TableModule, gens):
+    """The elements of M that sums of ``gens`` reach, zero first."""
+    rows = [M.sum[w] for w in set(gens)]
+    sub, frontier = [M.zero], [M.zero]
+    seen = {M.zero}
     while frontier:
         nxt = []
         for x in frontier:
-            for w in gens:
-                y = add(x, w)
-                if y not in sub:
-                    sub.add(y)
+            for row in rows:
+                y = row[x]
+                if y not in seen:
+                    seen.add(y)
                     nxt.append(y)
+        sub += nxt
         frontier = nxt
-    label = {}
-    reps = []
-    for x in elements:
-        if x in label:
-            continue
-        reps.append(x)
-        for s in sub:
-            label[add(x, s)] = x
-    return label, reps
+    return sub
 
 
 def quotient_table(M: TableModule, rel_elements):
-    """(Q, projection dict) of M by the subgroup the elements generate."""
-    label, reps = _cosets(M.elements, M.add, M.zero, rel_elements)
-    Q = TableModule(M.ring, reps, lambda a, b: label[M.add(a, b)], lambda r, a: label[M.smul(r, a)])
-    return Q, label
-
-
-def direct_sum_table(A: TableModule, B: TableModule) -> TableModule:
-    els = list(iproduct(A.elements, B.elements))
-    return TableModule(
-        A.ring,
-        els,
-        lambda x, y: (A.add(x[0], y[0]), B.add(x[1], y[1])),
-        lambda r, x: (A.smul(r, x[0]), B.smul(r, x[1])),
-    )
+    """(Q, projection dict) of M by the subgroup the elements generate.
+    Each coset is named by its first element, and Q's tables are M's read
+    through the projection."""
+    sub = _subgroup(M, rel_elements)
+    label, reps = {}, []
+    for x in M.elements:
+        if x in label:
+            continue
+        reps.append(x)
+        row = M.sum[x]
+        for s in sub:
+            label[row[s]] = x
+    sum = {}
+    for x in reps:
+        row = M.sum[x]
+        sum[x] = {y: label[row[y]] for y in reps}
+    act = None
+    if M.act is not None:
+        act = _Lazy(lambda r: {x: label[M.act[r][x]] for x in reps})
+    return TableModule(M.ring, M.names, sum, act, reps), label
 
 
 def kernel_table(a: TableArrow) -> TableModule:
@@ -628,7 +699,7 @@ def ker_arrow(a: TableArrow) -> TableArrow:
 @_shared_in_audit
 def cok_arrow(a: TableArrow) -> TableArrow:
     C, lab = cokernel_table(a)
-    return TableArrow(a.dst, C, {y: lab[y] for y in a.dst.elements})
+    return TableArrow(a.dst, C, lab)
 
 
 class ArrowSquare:
@@ -674,19 +745,25 @@ def count_arrow_squares(a: TableArrow, b: TableArrow) -> int:
     return n
 
 
+def _extend(T: TensorTable, images, target: TableModule) -> dict:
+    """The map out of T's module sending generator pair i to images[i]."""
+    return {x: target.combine(T.module.names[x], images) for x in T.module.elements}
+
+
 def tensor_arrow_tables(a: TableArrow, b: TableArrow):
     """(T0, T1, arrow) for the componentwise tensor of two arrows."""
     T0 = _tensor_table(a.src, b.src)
     T1 = _tensor_table(a.dst, b.dst)
-    M1 = T1.module
     imgs = [T1.pairing(a.f[g], b.f[h]) for g, h in iproduct(a.src.gens, b.src.gens)]
-    return T0, T1, TableArrow(T0.module, M1, {x: M1.combine(x, imgs) for x in T0.module.elements})
+    return T0, T1, TableArrow(T0.module, T1.module, _extend(T0, imgs, T1.module))
 
 
 class BoxTables:
-    """Pushout product of two table arrows, with its block structure."""
+    """Pushout product of two table arrows, with its block structure: P is
+    the quotient of the pairs (u, v) of T01 and T10 elements, numbered
+    u * len(T10) + v, by the pairs (m (x) b(n), -(a(m) (x) n))."""
 
-    __slots__ = ("a", "b", "T01", "T10", "T11", "D", "label", "P", "inc1", "inc2", "arrow")
+    __slots__ = ("a", "b", "T01", "T10", "T11", "_n10", "label", "P", "arrow")
 
     def __init__(self, a: TableArrow, b: TableArrow):
         self.a, self.b = a, b
@@ -694,40 +771,86 @@ class BoxTables:
         self.T10 = _tensor_table(a.dst, b.src)
         self.T11 = _tensor_table(a.dst, b.dst)
         M01, M10, M11 = self.T01.module, self.T10.module, self.T11.module
-        D = direct_sum_table(M01, M10)
-        W = []
-        for gm in a.src.gens:
-            for gn in b.src.gens:
-                alpha = self.T01.pairing(gm, b.f[gn])
-                beta = self.T10.pairing(a.f[gm], gn)
-                W.append((alpha, M10.int_mul(M10.order_of(beta) - 1, beta)))
-        P, lab = quotient_table(D, W)
-        self.D, self.label, self.P = D, lab, P
-
-        def inc1(u):
-            return lab[(u, M10.zero)]
-
-        def inc2(v):
-            return lab[(M01.zero, v)]
-
-        self.inc1, self.inc2 = inc1, inc2
+        n10 = self._n10 = len(M10)
+        s01, s10 = M01.sum, M10.sum
+        # (m (x) b(n), a(m) (x) -n) over generators m, n, the second being
+        # -(a(m) (x) n) by bilinearity
+        W = {
+            (self.T01.pairing(gm, b.f[gn]), self.T10.pairing(a.f[gm], b.src.int_mul(-1, gn)))
+            for gm in a.src.gens
+            for gn in b.src.gens
+        }
+        zero = (M01.zero, M10.zero)
+        seen, frontier = {zero}, [zero]
+        while frontier:
+            nxt = []
+            for u, v in frontier:
+                for s, t in W:
+                    y = (s01[u][s], s10[v][t])
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        # the subgroup W generates, as the rows of its elements
+        sub = [(s01[u], s10[v]) for u, v in seen]
+        label, reps = {}, []
+        for u in M01.elements:
+            for v in M10.elements:
+                p = u * n10 + v
+                if p in label:
+                    continue
+                reps.append(p)
+                for rs, rt in sub:
+                    label[rs[u] * n10 + rt[v]] = p
+        self.label = label
+        sum = {}
+        for p in reps:
+            ru, rv = s01[p // n10], s10[p % n10]
+            sum[p] = {q: label[ru[q // n10] * n10 + rv[q % n10]] for q in reps}
+        act = None
+        if not a.src.ring.is_integers:
+            act01, act10 = M01.act, M10.act
+            act = _Lazy(lambda r: {p: label[act01[r][p // n10] * n10 + act10[r][p % n10]] for p in reps})
+        names = tuple(iproduct(range(len(M01)), range(n10)))
+        self.P = TableModule(a.src.ring, names, sum, act, reps)
 
         left = [self.T11.pairing(a.f[g], h) for g, h in iproduct(a.src.gens, b.dst.gens)]
         right = [self.T11.pairing(g, b.f[h]) for g, h in iproduct(a.dst.gens, b.src.gens)]
-        f = {p: M11.add(M11.combine(p[0], left), M11.combine(p[1], right)) for p in P.elements}
-        self.arrow = TableArrow(P, M11, f)
+        f = {}
+        for p in reps:
+            u, v = divmod(p, n10)
+            f[p] = M11.add(M11.combine(M01.names[u], left), M11.combine(M10.names[v], right))
+        self.arrow = TableArrow(self.P, M11, f)
+
+    def split(self, p):
+        """(u, v): the T01 and T10 elements of the pair p."""
+        return divmod(p, self._n10)
+
+    def project(self, u, v):
+        """The element of P that the pair (u, v) lands on."""
+        return self.label[u * self._n10 + v]
+
+    def inc1(self, u):
+        return self.project(u, self.T10.module.zero)
+
+    def inc2(self, v):
+        return self.project(self.T01.module.zero, v)
 
 
 def _is_iso(src: TableModule, dst: TableModule, f: dict) -> bool:
-    """f is a bijective module map src -> dst."""
-    return (
-        len(src) == len(dst)
-        and len(set(f.values())) == len(src)
-        and all(f[src.add(x, y)] == dst.add(f[x], f[y]) for x in src.elements for y in src.elements)
-        and (
-            src.ring.is_integers
-            or all(f[src.smul(r, x)] == dst.smul(r, f[x]) for r in src.ring.elements for x in src.elements)
-        )
+    """f is a bijective module map src -> dst: a bijection that carries
+    every row of src's addition table onto the row of dst at the image,
+    and commutes with each scalar on src's generators, which for an
+    additive map means everywhere (``_homs`` checks scalars the same way)."""
+    els = src.elements
+    images = [f[x] for x in els]
+    if len(dst) != len(els) or len(set(images)) != len(els):
+        return False
+    rows = [(src.sum[x], dst.sum[y]) for x, y in zip(els, images)]
+    if not all([f[row[x]] for x in els] == [image_row[y] for y in images] for row, image_row in rows):
+        return False
+    return src.ring.is_integers or all(
+        f[src.act[r][g]] == dst.act[r][f[g]] for r in src.ring.elements for g in src.gens
     )
 
 
@@ -738,16 +861,17 @@ def _assoc_map(TL_outer: TensorTable, A: TableModule, B: TableModule, C: TableMo
                TR_inner: TensorTable, TR_outer: TensorTable) -> dict:
     """((A x B) x C) -> (A x (B x C)) on pure generators, extended."""
     Rm = TR_outer.module
+    AB = TL_outer._M
     imgs = [
-        Rm.combine(u, [TR_outer.pairing(g, TR_inner.pairing(h, w)) for g, h in iproduct(A.gens, B.gens)])
-        for u, w in iproduct(TL_outer._M.gens, C.gens)
+        Rm.combine(AB.names[u], [TR_outer.pairing(g, TR_inner.pairing(h, w)) for g, h in iproduct(A.gens, B.gens)])
+        for u, w in iproduct(AB.gens, C.gens)
     ]
-    return {x: Rm.combine(x, imgs) for x in TL_outer.module.elements}
+    return _extend(TL_outer, imgs, Rm)
 
 
 def _swap_map(Tab: TensorTable, A: TableModule, B: TableModule, Tba: TensorTable) -> dict:
     imgs = [Tba.pairing(h, g) for g, h in iproduct(A.gens, B.gens)]
-    return {x: Tba.module.combine(x, imgs) for x in Tab.module.elements}
+    return _extend(Tab, imgs, Tba.module)
 
 
 def _square_ok(src0, chi0, f_left, f_right, chi1) -> bool:
@@ -755,10 +879,11 @@ def _square_ok(src0, chi0, f_left, f_right, chi1) -> bool:
 
 
 def _describe_arrow(a: TableArrow):
+    src, dst = a.src.names, a.dst.names
     return {
         "src_factors": a.src.invariant_factor_orders(),
         "dst_factors": a.dst.invariant_factor_orders(),
-        "map": str(sorted(a.f.items())),
+        "map": str(sorted((src[x], dst[y]) for x, y in a.f.items())),
     }
 
 
@@ -827,7 +952,10 @@ def _box_symmetry(a, b):
     bba = BoxTables(b, a)
     swap_u = _swap_map(bab.T01, a.src, b.dst, bba.T10)
     swap_v = _swap_map(bab.T10, a.dst, b.src, bba.T01)
-    sP = {p: bba.label[(swap_v[p[1]], swap_u[p[0]])] for p in bab.P.elements}
+    sP = {}
+    for p in bab.P.elements:
+        u, v = bab.split(p)
+        sP[p] = bba.project(swap_v[v], swap_u[u])
     s11 = _swap_map(bab.T11, a.dst, b.dst, bba.T11)
     return _is_iso(bab.P, bba.P, sP) and _square_ok(bab.P, sP, bab.arrow.f, bba.arrow.f, s11)
 
@@ -840,18 +968,21 @@ def _box_assoc(a, b, c):
     P = R.P
 
     def block1(pgen, z):
-        u, v = pgen
+        u, v = AB.split(pgen)
         us = [R.inc1(R.T01.pairing(g, BC.T11.pairing(h, z))) for g, h in iproduct(a.src.gens, b.dst.gens)]
         vs = [R.inc2(R.T10.pairing(g, BC.inc1(BC.T01.pairing(h, z)))) for g, h in iproduct(a.dst.gens, b.src.gens)]
-        return P.add(P.combine(u, us), P.combine(v, vs))
+        return P.add(P.combine(AB.T01.module.names[u], us), P.combine(AB.T10.module.names[v], vs))
 
     def block2(u11, z0):
         ws = [R.inc2(R.T10.pairing(g, BC.inc2(BC.T10.pairing(h, z0)))) for g, h in iproduct(a.dst.gens, b.dst.gens)]
-        return P.combine(u11, ws)
+        return P.combine(AB.T11.module.names[u11], ws)
 
     imgs1 = [block1(p, z) for p, z in iproduct(AB.P.gens, c.dst.gens)]
     imgs2 = [block2(u, z) for u, z in iproduct(AB.T11.module.gens, c.src.gens)]
-    chi = {p: P.add(P.combine(p[0], imgs1), P.combine(p[1], imgs2)) for p in L.P.elements}
+    chi = {}
+    for p in L.P.elements:
+        u, v = L.split(p)
+        chi[p] = P.add(P.combine(L.T01.module.names[u], imgs1), P.combine(L.T10.module.names[v], imgs2))
     kappa = _assoc_map(L.T11, a.dst, b.dst, c.dst, BC.T11, R.T11)
     return (
         _is_iso(L.P, R.P, chi)
@@ -865,13 +996,13 @@ def _cok_monoidal(a, b):
     ca, cb = cok_arrow(a), cok_arrow(b)
     Tcc = _tensor_table(ca.dst, cb.dst)
     imgs = [Tcc.pairing(ca.f[g], cb.f[h]) for g, h in iproduct(a.dst.gens, b.dst.gens)]
-    return _is_iso(C, Tcc.module, {y: Tcc.module.combine(y, imgs) for y in C.elements})
+    return _is_iso(C, Tcc.module, {y: Tcc.module.combine(C.names[y], imgs) for y in C.elements})
 
 
 def _ker_lax(a, b):
     bk = BoxTables(ker_arrow(a), ker_arrow(b))
     T0, _, tab = tensor_arrow_tables(a, b)
-    if bk.T11.module.elements != T0.module.elements:
+    if bk.T11.module.names != T0.module.names:
         raise AssertionError("tensor table construction is not deterministic")
     K = {z for z in T0.module.elements if tab.f[z] == tab.dst.zero}
     return all(bk.arrow.f[p] in K for p in bk.P.elements)

@@ -15,6 +15,7 @@ from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import adic_smith
 from adic_smith import oracle
@@ -23,6 +24,7 @@ from adic_smith.fpmod import FPModule, HomModule, tensor
 from adic_smith.oracle import (
     LAW_NAMES,
     MAX_ORDER,
+    BoxTables,
     FiniteCorpus,
     TableArrow,
     TableModule,
@@ -34,7 +36,6 @@ from adic_smith.oracle import (
     corpus_ring,
     count_arrow_squares,
     cyclic_table_module,
-    direct_sum_table,
     enumerate_homs,
     hom_candidates,
     hom_colimit_check,
@@ -46,6 +47,25 @@ from adic_smith.oracle import (
     sub_table,
     tensor_by_elements,
 )
+
+
+def el(M, label):
+    """The element of M whose name is ``label``."""
+    return M.names.index(label)
+
+
+def direct_sum_table(A, B):
+    """A + B tabulated on index pairs, element u * len(B.names) + v being
+    (u, v): the reference for the pushout product's pair-space quotient."""
+    n = len(B.names)
+    names = tuple(iproduct(range(len(A.names)), range(n)))
+    els = [u * n + v for u in A.elements for v in B.elements]
+    sum = {p: {q: A.sum[p // n][q // n] * n + B.sum[p % n][q % n] for q in els} for p in els}
+    act = None
+    if A.act is not None:
+        act = [{p: A.act[r][p // n] * n + B.act[r][p % n] for p in els} for r in A.ring.elements]
+    return TableModule(A.ring, names, sum, act, els)
+
 
 Z4_LABELS = ("0", "2", "4", "2+2", "2+4", "2+2+2", "4+4", "2+2+4", "2+2+2+2")
 F2X_LABELS = ("0", "k", "R", "k+k", "k+R", "k+k+k", "R+R", "k+k+R", "k+k+k+k")
@@ -187,22 +207,24 @@ def test_walk_relation_when_a_multiple_lands_in_the_span():
     # Z/9 with 3 and 6 named first: the walk takes 3 as its first
     # generator, then 1, whose triple 3 is the first generator again.
     # Corpus modules and the z2 tables never have such a relation.
-    names = {v: (i, v) for i, v in enumerate([0, 3, 6, 1, 2, 4, 5, 7, 8])}
+    values = [0, 3, 6, 1, 2, 4, 5, 7, 8]
+    index = {v: i for i, v in enumerate(values)}
+    names = {v: (i, v) for i, v in enumerate(values)}
     M = TableModule(
         corpus_ring("zz"),
-        names.values(),
-        lambda x, y: names[(x[1] + y[1]) % 9],
-        lambda r, x: names[(r * x[1]) % 9],
+        tuple(names.values()),
+        [[index[(a + b) % 9] for b in values] for a in values],
+        None,
     )
-    assert M.gens == (names[3], names[1])
+    assert tuple(M.names[g] for g in M.gens) == (names[3], names[1])
     assert M.rels == ((3, 0), (-1, 3))
     _assert_same_presentation(M)
 
 
 def test_order_of():
     A4 = cyclic_table_module(corpus_ring("z4"), 4)
-    assert A4.order_of((1,)) == 4
-    assert A4.order_of((2,)) == 2
+    assert A4.order_of(el(A4, (1,))) == 4
+    assert A4.order_of(el(A4, (2,))) == 2
     assert A4.order_of(A4.zero) == 1
 
 
@@ -211,13 +233,13 @@ def test_order_of():
 
 def test_sub_and_quotient_tables():
     A4 = cyclic_table_module(corpus_ring("z4"), 4)
-    S = sub_table(A4, [(0,), (2,)])
+    S = sub_table(A4, [el(A4, (0,)), el(A4, (2,))])
     assert S.invariant_factor_orders() == [2]
-    Q, label = quotient_table(A4, [(2,)])
-    assert len(Q) == 2 and label[(3,)] == (1,)
+    Q, label = quotient_table(A4, [el(A4, (2,))])
+    assert len(Q) == 2 and A4.names[label[el(A4, (3,))]] == (1,)
 
-    double = TableArrow(A4, A4, {(k,): ((2 * k) % 4,) for k in range(4)})
-    assert sorted(kernel_table(double).elements) == [(0,), (2,)]
+    double = TableArrow(A4, A4, {el(A4, (k,)): el(A4, ((2 * k) % 4,)) for k in range(4)})
+    assert sorted(A4.names[x] for x in kernel_table(double).elements) == [(0,), (2,)]
     C, _ = cokernel_table(double)
     assert C.invariant_factor_orders() == [2]
 
@@ -227,6 +249,147 @@ def test_direct_sum_table():
     D = direct_sum_table(A4, A4)
     assert len(D) == 16
     assert sorted(D.invariant_factor_orders()) == [4, 4]
+
+
+# -- index tables against arithmetic on names (property) ---------------
+
+# factor kinds per ring: Z/d by its order d, and over F_2[x]/(x^2) the
+# trivial module k and the regular module R
+FACTOR_KINDS = {"zz": (1, 2, 3, 4), "z2": (2,), "z3": (3,), "z4": (2, 4), "f2x": ("k", "R")}
+
+
+def _factor(ring, kind):
+    """(oracle factor, add on names, scalar action of a ring name on names)."""
+    if kind == "k":
+        return oracle._f2x_trivial(ring), lambda a, b: (a + b) % 2, lambda r, a: (r[0] * a) % 2
+    if kind == "R":
+        return (
+            oracle._f2x_regular(ring),
+            lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2),
+            lambda r, a: ((r[0] * a[0]) % 2, (r[0] * a[1] + r[1] * a[0]) % 2),
+        )
+    return oracle._cyclic_factor(ring, kind), lambda a, b: (a + b) % kind, lambda r, a: (r * a) % kind
+
+
+@st.composite
+def product_modules(draw, ring_name=None, max_order=16, min_factors=0):
+    """(module, add on names, action on names) of a random product of
+    min_factors to 3 factors over one ring, of order at most max_order."""
+    ring_name = ring_name or draw(st.sampled_from(sorted(FACTOR_KINDS)))
+    ring = corpus_ring(ring_name)
+    kinds = draw(st.lists(st.sampled_from(FACTOR_KINDS[ring_name]), min_size=min_factors, max_size=3))
+    parts = [_factor(ring, kind) for kind in kinds]
+    while math.prod(len(p[0][0]) for p in parts) > max_order and len(parts) > min_factors:
+        parts.pop()
+    M = oracle.product_module(ring, [p[0] for p in parts])
+
+    def add(x, y):
+        return tuple(p[1](a, b) for p, a, b in zip(parts, x, y))
+
+    def smul(r, x):
+        return tuple(p[2](r, a) for p, a in zip(parts, x))
+
+    return M, add, smul
+
+
+def _span(zero, seeds, add):
+    """Additive closure of the names ``seeds``, by arithmetic on names."""
+    span, frontier = {zero}, [zero]
+    while frontier:
+        frontier = [y for y in {add(x, s) for x in frontier for s in seeds} if y not in span]
+        span.update(frontier)
+    return span
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_modules())
+def test_index_tables_match_arithmetic_on_names(case):
+    M, add, smul = case
+    for x in M.elements:
+        assert M.order_of(x) == min(
+            o for o in range(1, len(M) + 1) if M.names[M.int_mul(o, x)] == M.names[M.zero]
+        )
+        for y in M.elements:
+            assert M.names[M.sum[x][y]] == add(M.names[x], M.names[y])
+        if not M.ring.is_integers:
+            for r in M.ring.elements:
+                assert M.names[M.act[r][x]] == smul(M.ring.names[r], M.names[x])
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_modules(), st.data())
+def test_sub_and_quotient_tables_are_closed(case, data):
+    M, add, smul = case
+    seeds = data.draw(st.lists(st.sampled_from(M.elements), max_size=3))
+    scalars = [None] if M.ring.is_integers else M.ring.elements
+    # the submodule the seeds generate is the additive span of their multiples
+    rels = [x if r is None else M.act[r][x] for x in seeds for r in scalars]
+    want = _span(M.names[M.zero], {M.names[x] for x in rels}, add)
+    Q, proj = quotient_table(M, rels)
+    assert {M.names[x] for x in M.elements if proj[x] == Q.zero} == want
+    assert len(Q) * len(want) == len(M)
+    S = sub_table(M, [x for x in M.elements if M.names[x] in want])
+    for T in (S, Q):
+        for x in T.elements:
+            for y in T.elements:
+                assert T.add(x, y) in T.elements
+            for r in M.ring.elements or ():
+                assert T.smul(r, x) in T.elements
+    for x in M.elements:
+        assert proj[x] in Q.elements
+        for y in M.elements:
+            assert proj[M.add(x, y)] == Q.add(proj[x], proj[y])
+        for r in M.ring.elements or ():
+            assert proj[M.smul(r, x)] == Q.smul(r, proj[x])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FACTOR_KINDS)).flatmap(
+    lambda r: st.tuples(product_modules(r), product_modules(r, max_order=8))
+))
+def test_tensor_pairing_bilinear_and_balanced(case):
+    (M, _, _), (N, _, _) = case
+    TT = TensorTable(M, N)
+    T = TT.module
+    for x in M.elements:
+        for y in N.elements:
+            p = TT.pairing(x, y)
+            for xx in M.elements:
+                assert TT.pairing(M.add(x, xx), y) == T.add(p, TT.pairing(xx, y))
+            for yy in N.elements:
+                assert TT.pairing(x, N.add(y, yy)) == T.add(p, TT.pairing(x, yy))
+            for r in M.ring.elements or ():
+                assert TT.pairing(M.smul(r, x), y) == TT.pairing(x, N.smul(r, y)) == T.smul(r, p)
+
+
+def _arrow(data, M, N):
+    return TableArrow(M, N, data.draw(st.sampled_from(enumerate_homs(M, N))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FACTOR_KINDS)), st.data())
+def test_box_quotient_is_the_direct_sum_quotient(ring_name, data):
+    M0, M1, N0, N1 = (data.draw(product_modules(ring_name, 4, min_factors=1))[0] for _ in range(4))
+    a, b = _arrow(data, M0, M1), _arrow(data, N0, N1)
+    box = BoxTables(a, b)
+    M01, M10 = box.T01.module, box.T10.module
+    D = direct_sum_table(M01, M10)
+    n = len(M10.names)
+    W = [
+        box.T01.pairing(gm, b.f[gn]) * n + M10.int_mul(-1, box.T10.pairing(a.f[gm], gn))
+        for gm in a.src.gens
+        for gn in b.src.gens
+    ]
+    Q, label = quotient_table(D, W)
+    assert Q.elements == box.P.elements
+    assert label == box.label
+    for p in Q.elements:
+        assert box.split(p) == D.names[p]
+        assert box.project(*D.names[p]) == p
+        for q in Q.elements:
+            assert Q.add(p, q) == box.P.add(p, q)
+        for r in M01.ring.elements or ():
+            assert Q.smul(r, p) == box.P.smul(r, p)
 
 
 # -- tensor and hom closed forms --------------------------------------
@@ -252,7 +415,7 @@ def test_tensor_pairing_bilinear():
                 rhs = T.add(TT.pairing(x, y), TT.pairing(xx, y))
                 assert lhs == rhs
     # the image of generator x generator generates
-    assert T.order_of(TT.pairing((1,), (1,))) == len(T)
+    assert T.order_of(TT.pairing(el(A2, (1,)), el(A4, (1,)))) == len(T)
 
 
 def test_tensor_table_is_deterministic():
@@ -269,7 +432,7 @@ def test_tensor_table_is_deterministic():
                     continue
                 S, T = TensorTable(M, N), TensorTable(M, N)
                 assert S is not T
-                assert S.module.elements == T.module.elements
+                assert S.module.names == T.module.names
                 assert all(S.pairing(m, n) == T.pairing(m, n) for m in M.elements for n in N.elements)
                 pairs[ring] += 1
     assert pairs == {"z2": 22, "z3": 8, "z4": 60, "f2x": 60}
@@ -524,8 +687,8 @@ def _mono_chain():
         M2,
         M4,
         [
-            TableArrow(M2, M4, {(0,): (0,), (1,): (2,)}),
-            TableArrow(M4, M8, {(k,): (2 * k,) for k in range(4)}),
+            TableArrow(M2, M4, {el(M2, (0,)): el(M4, (0,)), el(M2, (1,)): el(M4, (2,))}),
+            TableArrow(M4, M8, {el(M4, (k,)): el(M8, (2 * k,)) for k in range(4)}),
         ],
     )
 
@@ -548,7 +711,7 @@ def test_hom_colimit_bijective():
 
 def test_hom_colimit_rejects_bad_chains():
     M2, M4, chain = _mono_chain()
-    not_mono = TableArrow(M4, M2, {(k,): (k % 2,) for k in range(4)})
+    not_mono = TableArrow(M4, M2, {el(M4, (k,)): el(M2, (k % 2,)) for k in range(4)})
     with pytest.raises(ValueError, match="mono"):
         hom_colimit_check(M2, [not_mono])
     # equal shape is not enough, the chain must share its endpoints
