@@ -2,11 +2,19 @@
 
 A document names rings, modules, ideals and maps; a command picks them
 up by name and emits one report, as JSON (sorted keys, stable byte
-output) or as flat key = value lines.  Exit status: 0 all checks
-passed, 1 a verdict failed, 2 the input or invocation was bad, 3 the
-program itself failed (any other exception, ``MemoryError`` and
-``RecursionError`` included), reported as one ``internal error:`` line
-on stderr with nothing on stdout.
+output) or as flat key = value lines.
+
+Loading parses and checks the whole document, so any bad entry exits 2
+whichever entry the command names.  Rings, modules and maps are built at
+load.  An ideal is parsed and checked at load, but its ``SmithIdeal``
+is built only when a command or a map first reads it, at most once per
+command; a document's other ideals cost only their parse.
+
+Exit status: 0 all checks passed, 1 a verdict failed, 2 the input or
+invocation was bad, 3 the program itself failed (any other exception,
+``MemoryError`` and ``RecursionError`` included, and an engine invariant
+such as a non-mono ideal inclusion), reported as one ``internal error:``
+line on stderr with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -95,13 +103,25 @@ def _relation_cols(ring, cols, ngens, path):
 
 
 class InputDocument:
-    __slots__ = ("rings", "modules", "ideals", "maps")
+    """A loaded document.  ``ideals`` maps each name to its checked spec
+    (algebra, generators, ambient modulus or None), and ``ideal(name)``
+    builds the ``SmithIdeal`` on first read.  ``maps`` maps each name to
+    (source ideal name, target ideal name, ``ArrowMap``)."""
 
-    def __init__(self, rings, modules, ideals, maps):
+    __slots__ = ("rings", "modules", "ideals", "maps", "_built")
+
+    def __init__(self, rings, modules, ideals):
         self.rings = rings
         self.modules = modules
         self.ideals = ideals
-        self.maps = maps
+        self.maps = {}
+        self._built = {}
+
+    def ideal(self, name: str) -> SmithIdeal:
+        if name not in self._built:
+            ring, gens, ambient = self.ideals[name]
+            self._built[name] = SmithIdeal(ring, gens, ambient_modulus=ambient)
+        return self._built[name]
 
     def need(self, table: str, name, flag: str):
         if name is None:
@@ -110,7 +130,7 @@ class InputDocument:
         if name not in pool:
             have = ", ".join(sorted(pool)) or "none"
             raise InputError(f"{table}.{name}", f"no such entry (have: {have})")
-        return pool[name]
+        return self.ideal(name) if table == "ideals" else pool[name]
 
 
 def _well_defined_or_explain(src: FPModule, dst: FPModule, mat: Matrix, path: str):
@@ -162,6 +182,9 @@ def load_document(path: str) -> InputDocument:
         cols = _relation_cols(ring, spec.get("relations", []), ngens, f"{path}.relations")
         modules[name] = FPModule(ring, ngens, cols)
 
+    # Building a SmithIdeal from a checked spec raises no input error:
+    # its ring is one ``ring_from_json`` builds, so ``algebra_split``
+    # accepts it, and its entries are payloads of that ring already.
     ideals = {}
     for name, spec, path in entries("ideals", "an ideal spec"):
         ring = ring_of(spec, path)
@@ -169,29 +192,26 @@ def load_document(path: str) -> InputDocument:
         gens = [_entry(ring, g, f"{path}.generators[{i}]") for i, g in enumerate(gens_spec)]
         amb = spec.get("ambient_modulus")
         ambient = _entry(ring, amb, f"{path}.ambient_modulus") if amb is not None else None
-        try:
-            ideals[name] = SmithIdeal(ring, gens, ambient_modulus=ambient)
-        except ValueError as e:
-            raise InputError(path, str(e)) from None
+        ideals[name] = (ring, gens, ambient)
 
-    maps = {}
+    doc = InputDocument(rings, modules, ideals)
     for name, spec, path in entries("maps", "a map spec"):
         src = json_key(spec, "source", str, "an ideal name", path)
         dst = json_key(spec, "target", str, "an ideal name", path)
         if src not in ideals or dst not in ideals:
             raise InputError(path, "source and target must name ideals")
-        S, D = ideals[src], ideals[dst]
+        S, D = doc.ideal(src), doc.ideal(dst)
         ring = S.base
         top_mat = _matrix_rows(ring, spec.get("top"), (len(D.gens), len(S.gens)), f"{path}.top")
         bot_mat = _matrix_rows(ring, spec.get("bottom"), (1, 1), f"{path}.bottom")
         top = _well_defined_or_explain(S.I, D.I, top_mat, f"{path}.top")
         bottom = _well_defined_or_explain(S.ambient, D.ambient, bot_mat, f"{path}.bottom")
         try:
-            maps[name] = ArrowMap(S.j, D.j, top, bottom)
+            doc.maps[name] = (src, dst, ArrowMap(S.j, D.j, top, bottom))
         except ValueError as e:
             raise InputError(path, str(e)) from None
 
-    return InputDocument(rings, modules, ideals, maps)
+    return doc
 
 
 # -- report plumbing --------------------------------------------------
@@ -334,10 +354,8 @@ def cmd_complete_check(args, doc):
 
 
 def cmd_analytic_check(args, doc):
-    phi = doc.need("maps", args.map, "--map")
-    src = next(j for j in doc.ideals.values() if j.j == phi.source)
-    dst = next(j for j in doc.ideals.values() if j.j == phi.target)
-    verdict = check_analytic_equivalence(src, dst, phi, args.levels)
+    src, dst, phi = doc.need("maps", args.map, "--map")
+    verdict = check_analytic_equivalence(doc.ideal(src), doc.ideal(dst), phi, args.levels)
     report = {"command": "analytic-check", "map": args.map}
     report.update(verdict.describe())
     if args.with_certificates:

@@ -22,10 +22,16 @@ membership (``reduce_vec`` is zero exactly on the lattice; ``FPMap``
 certifies well-definedness this way), the free rank (its columns are
 independent), the zero test, the size and the k-dimension (its pivots
 multiply to the product of the invariant factors).  Injectivity,
-surjectivity and exactness test membership of kernel columns (one SNF)
-in a relation lattice, or of the target in the span of the image.
+surjectivity and exactness test membership of kernel columns in a
+relation lattice, or of the target in the span of the image.
 The relation Smith form, built on first use, answers invariant
-factors, isomorphism type, ``minimal_decomposition``, kernels and solves.
+factors, isomorphism type, ``minimal_decomposition`` and solves.
+
+Kernel columns come from ``_projected_kernel``.  When the matrix has one
+row, as for a submodule of a one-generator module (every ideal, every
+power I^n and every truncation's ideal) or a map into one, they come
+from an extended-gcd sweep along that row, with no Smith form.  A
+matrix of more rows takes the kernel of its Smith form.
 """
 
 from __future__ import annotations
@@ -403,8 +409,57 @@ def quotient(M: FPModule, H: Matrix):
 
 
 def _projected_kernel(A: Matrix, top: int) -> Matrix:
+    """Columns spanning the top ``top`` rows of the kernel of A: the
+    extended-gcd sweep when A has one row, else the SNF kernel."""
+    if A.m == 1:
+        return _row_syzygies(A.ring, A.rows[0], top)
     Kb = kernel_basis(A)
     return Matrix(A.ring, Kb.rows[:top], shape=(top, Kb.n))
+
+
+def _row_syzygies(ring: Ring, a, top: int) -> Matrix:
+    """Column-echelon basis of {c : sum_{i<top} c_i a_i in (a_top, ...)}.
+
+    Swept from the last entry up, with T_r = gcd(a_{r+1}, ..., a_{top-1},
+    tail) and E_r its cofactors on rows r+1, ..., top-1 (``Ring.xgcd``,
+    carried up the row).  Row r's column has pivot T_r / gcd(a_r, T_r)
+    and entries -(a_r / gcd(a_r, T_r)) E_r below it; it is e_r when
+    a_r = 0, and row r has no column when T_r = 0 != a_r.  This is the
+    extended-gcd case of Havas, Majewski & Matthews (1998).
+    """
+    zero, one = ring.zero, ring.one
+    T = zero
+    for x in a[top:]:
+        T = ring.gcd(T, x)
+    E = [zero] * top
+    cols = []
+    for r in range(top - 1, -1, -1):
+        ar = a[r]
+        col = [zero] * top
+        if ar == zero:
+            col[r] = one
+            cols.append(col)
+            continue
+        # row 0 is the last row swept, so its cofactors are never read
+        if r:
+            g, s, t = ring.xgcd(ar, T)
+        else:
+            g = ring.gcd(ar, T)
+        if T != zero:
+            col[r] = ring.divmod_(T, g)[0]
+            if r + 1 < top:
+                q = ring.neg(ring.divmod_(ar, g)[0])
+                for i in range(r + 1, top):
+                    if E[i] != zero:
+                        col[i] = ring.mul(q, E[i])
+            cols.append(col)
+        if r:
+            if t != one:
+                E = [ring.mul(t, e) if e != zero else zero for e in E]
+            E[r] = s
+        T = g
+    cols.reverse()
+    return Matrix.from_cols(ring, cols, top)
 
 
 def factor_through(u: FPMap, through: FPMap):

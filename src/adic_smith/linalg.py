@@ -391,16 +391,18 @@ def _snf_generic(ring: Ring, m, n, rows):
             continue
 
         # cross is clear; fold in any row the pivot does not divide yet
+        # (a unit pivot divides every entry, and every pivot divides 0)
         ok = True
-        for i in range(t + 1, m):
-            Mi = M[i]
-            for j in range(t + 1, n):
-                if ring.divmod_(Mi[j], p)[1] != zero:
-                    row_sub(t, i, neg(one))
-                    ok = False
+        if ring.euclid_size(p) != unit_size:
+            for i in range(t + 1, m):
+                Mi = M[i]
+                for j in range(t + 1, n):
+                    if Mi[j] != zero and ring.divmod_(Mi[j], p)[1] != zero:
+                        row_sub(t, i, neg(one))
+                        ok = False
+                        break
+                if not ok:
                     break
-            if not ok:
-                break
         if ok:
             t += 1
 
@@ -519,6 +521,14 @@ def column_hermite(A: Matrix):
         for r in range(m):
             H[r][i], H[r][j] = H[r][j], H[r][i]
 
+    def scale_col(i, j):
+        """Make the entry (i, j) a canonical associate, a unimodular step."""
+        u = ring.canonical_unit(H[i][j])
+        if u != one:
+            for r in range(m):
+                if H[r][j] != zero:
+                    H[r][j] = ring.mul(u, H[r][j])
+
     pivots = []
     c = 0
     for r0 in range(m):
@@ -545,13 +555,11 @@ def column_hermite(A: Matrix):
                     col_sub(j, c, q)
                 if r != zero:
                     swap_cols(j, c)
+                    scale_col(r0, c)
                     again = True
             if not again:
                 break
-        u = ring.canonical_unit(H[r0][c])
-        if u != one:
-            for r in range(m):
-                H[r][c] = ring.mul(u, H[r][c])
+        scale_col(r0, c)
         pivots.append((r0, c))
         c += 1
 

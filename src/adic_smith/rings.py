@@ -252,6 +252,13 @@ class Ring:
     def canonical_assoc(self, a):
         return self.mul(self.canonical_unit(a), a)
 
+    def gcd(self, a, b):
+        """The canonical gcd of a and b, without the cofactors of ``xgcd``."""
+        while not self.is_zero(b):
+            a, b = b, self.divmod_(a, b)[1]
+        u = self.canonical_unit(a)
+        return a if u == self.one else self.mul(u, a)
+
     def xgcd(self, a, b):
         """(g, s, t) with g = s*a + t*b and g the canonical gcd."""
         r0, r1 = a, b
@@ -263,6 +270,8 @@ class Ring:
             s0, s1 = s1, self.sub(s0, self.mul(q, s1))
             t0, t1 = t1, self.sub(t0, self.mul(q, t1))
         u = self.canonical_unit(r0) if not self.is_zero(r0) else self.one
+        if u == self.one:
+            return r0, s0, t0
         return self.mul(u, r0), self.mul(u, s0), self.mul(u, t0)
 
     # -- misc ---------------------------------------------------------
@@ -319,6 +328,9 @@ class IntegerRing(Ring):
 
     def divmod_(self, a, b):
         return divmod(a, b)
+
+    def gcd(self, a, b):
+        return gcd(a, b)
 
     def euclid_size(self, a):
         return abs(a)

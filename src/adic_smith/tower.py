@@ -86,10 +86,16 @@ class SmithIdeal:
 
     ``ambient_modulus`` adds one principal relation to the rank-one
     ambient, so a truncation A/I^{N+1} is again a SmithIdeal and towers
-    compose.  Generators are stored reduced; the inclusion is certified
-    mono at construction.  Closure under products needs no check: the
-    algebra A = R/(f) is cyclic over R, so the R-span of the generators
-    is already an ideal (g_i g_j is g_i times the generator g_j).
+    compose.  Generators are stored reduced.  The relations of I, like
+    those of every power I^n, are the syzygies of one row of generators
+    modulo the ambient relation, which ``submodule`` takes by the
+    extended-gcd sweep, never by a Smith form.  That sweep builds the
+    inclusion mono by construction; construction still certifies it
+    (one more sweep), and a failure is an engine fault
+    (``AssertionError``), not bad input.  Closure under products needs
+    no check: the algebra A = R/(f) is cyclic over R, so the R-span of
+    the generators is already an ideal (g_i g_j is g_i times the
+    generator g_j).
 
     Generator products are carried up by degree and kept for the life
     of the ideal (see the module docstring); construction computes none.
@@ -109,7 +115,7 @@ class SmithIdeal:
         self.gen_mat = Matrix(base, [list(gens)], shape=(1, len(gens)))
         self.I, self.incl = submodule(ambient, self.gen_mat)
         if not self.incl.is_injective():
-            raise ValueError("ideal inclusion is not mono")
+            raise AssertionError("ideal inclusion is not mono")
         self._products = []
 
     @property

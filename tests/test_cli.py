@@ -459,6 +459,16 @@ def test_internal_fault_exits_3_on_one_line(doc, monkeypatch, fault):
     assert err == f"internal error: {type(fault).__name__}: {fault}\n"
 
 
+def test_non_mono_ideal_inclusion_is_an_internal_fault(doc, monkeypatch):
+    """The sweep builds every ideal inclusion mono, so a failed mono
+    certificate is a fault of the engine (exit 3), not bad input."""
+    from adic_smith.fpmod import FPMap
+
+    monkeypatch.setattr(FPMap, "is_injective", lambda self: False)
+    code, out, err = run_cli(["tower", "--input", doc, "--ideal", "x", "--levels", "1"])
+    assert (code, out, err) == (3, "", "internal error: AssertionError: ideal inclusion is not mono\n")
+
+
 def test_verify_laws_bad_ring():
     check_exit2(["verify-laws", "--ring", "zz"], "law corpora exist over")
 
@@ -490,9 +500,9 @@ def test_parser_built_once_and_reused(doc):
 
 L = 3
 # argv (with "@" for the document) -> (truncations, pushout products,
-# SmithIdeal constructions besides the document's own).  Each level is
-# built once per command: the tower of j has L+1 levels at --levels L,
-# and a check against the truncated ideal builds L+1 more.
+# SmithIdeal constructions besides the document ideals the run reads).
+# Each level is built once per command: the tower of j has L+1 levels at
+# --levels L, and a check against the truncated ideal builds L+1 more.
 WORK_PER_COMMAND = [
     (["tower", "--input", "@", "--ideal", "p2"], (L + 1, 0, 0)),
     (["graded", "--input", "@", "--ideal", "p2"], (L + 1, 0, 0)),
@@ -504,6 +514,28 @@ WORK_PER_COMMAND = [
 ]
 
 
+def document_ideals_read(document, argv):
+    """How many of the document's ideals a run builds: those its maps
+    read at load, and the one ``--ideal`` names."""
+    read = {end for m in document.get("maps", {}).values() for end in (m["source"], m["target"])}
+    if "--ideal" in argv:
+        read.add(argv[argv.index("--ideal") + 1])
+    return len(read)
+
+
+def count_ideals(monkeypatch):
+    """A dict whose "ideal" entry counts SmithIdeal constructions from now on."""
+    counts = {"ideal": 0}
+    init = SmithIdeal.__init__
+
+    def counted(*args, **kwargs):
+        counts["ideal"] += 1
+        return init(*args, **kwargs)
+
+    monkeypatch.setattr(SmithIdeal, "__init__", counted)
+    return counts
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     WORK_PER_COMMAND,
@@ -512,7 +544,8 @@ WORK_PER_COMMAND = [
 def test_each_level_built_once_per_command(doc, monkeypatch, argv, expected):
     from adic_smith import arrowcat, tower
 
-    counts = {"truncate": 0, "pushout_product": 0, "ideal": 0}
+    counts = count_ideals(monkeypatch)
+    counts.update(truncate=0, pushout_product=0)
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -525,11 +558,49 @@ def test_each_level_built_once_per_command(doc, monkeypatch, argv, expected):
     box = counted(arrowcat.pushout_product, "pushout_product")
     monkeypatch.setattr(tower, "pushout_product", box)
     monkeypatch.setattr(arrowcat, "pushout_product", box)
-    monkeypatch.setattr(SmithIdeal, "__init__", counted(SmithIdeal.__init__, "ideal"))
     code, out, err = run_cli([doc if a == "@" else a for a in argv] + ["--levels", str(L)])
     assert code in (0, 1) and out and not err, err
-    got = (counts["truncate"], counts["pushout_product"], counts["ideal"] - len(GOOD_DOC["ideals"]))
+    got = (counts["truncate"], counts["pushout_product"], counts["ideal"] - document_ideals_read(GOOD_DOC, argv))
     assert got == expected
+
+
+def test_tower_builds_only_the_ideal_it_reads(tmp_path, monkeypatch):
+    """With no map to read them, the document's other ideals are parsed
+    and checked but never built."""
+    p = tmp_path / "nomaps.json"
+    p.write_text(json.dumps({k: v for k, v in GOOD_DOC.items() if k != "maps"}))
+    counts = count_ideals(monkeypatch)
+    code, out, err = run_cli(["tower", "--input", str(p), "--ideal", "p2", "--levels", "2"])
+    assert (code, err) == (0, "") and out
+    assert counts["ideal"] == 1
+
+
+# Every bad-ideal and bad-map document above, as (document, argv, needle).
+BAD_IDEAL_AND_MAP_RUNS = [
+    (document, ["graded", "--ideal", "p2"], needle)
+    for document, needle in MALFORMED_DOCS
+    if needle.startswith(("ideals.", "maps"))
+] + [
+    ({"rings": {"Z": {"kind": "integers"}}, "ideals": {"bad": {"ring": "Z", "generators": ["spam"]}}},
+     ["graded", "--ideal", "bad"], "ideals.bad.generators[0]"),
+    ({"rings": {"R": {"kind": "integers"}}, "ideals": {"I": {"ring": "R", "generators": ["2^200000000"]}}},
+     ["tower", "--ideal", "I"], "ideals.I.generators[0]: exponent 200000000 is above the cap"),
+    (BAD_MAP_DOC, ["tower", "--ideal", "q2"], "maps.bad.top: matrix does not respect relation column 0"),
+]
+
+
+@pytest.mark.parametrize("document,argv,needle", BAD_IDEAL_AND_MAP_RUNS)
+def test_bad_entries_refused_when_another_ideal_is_named(tmp_path, document, argv, needle):
+    """Loading checks every ideal and map, built or not: naming another,
+    valid ideal gives the same exit 2 and the same message."""
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(document))
+    reference = run_cli([argv[0], "--input", str(p)] + argv[1:])
+    assert reference[:2] == (2, "") and needle in reference[2], reference
+    other = dict(document, rings=dict(document.get("rings", {}), Zok={"kind": "integers"}))
+    other["ideals"] = dict(document.get("ideals", {}), ok={"ring": "Zok", "generators": [3]})
+    p.write_text(json.dumps(other))
+    assert run_cli([argv[0], "--input", str(p), "--ideal", "ok"]) == reference
 
 
 # -- output discipline ------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import SMALL_RINGS, ZZ, poly_from_coeffs
 from adic_smith import fpmod, linalg
-from adic_smith.linalg import Matrix, matvec, solve_linear
+from adic_smith.linalg import Matrix, column_hermite, kernel_basis, matvec, solve_linear
 from adic_smith.linalg import smith_normal_form as linalg_smith
 from adic_smith.fpmod import (
     FPMap,
@@ -35,7 +35,7 @@ from adic_smith.fpmod import (
     tensor_swap,
     uncurry,
 )
-from adic_smith.rings import PolyRing, QuotientRing
+from adic_smith.rings import GF, PolyRing, QuotientRing
 
 F2X = SMALL_RINGS["F2x"]
 
@@ -192,9 +192,45 @@ def test_hermite_answers_match_snf_reference(case):
         assert M.is_zero_vec(v) == (solve_linear(M.rel, v, cert) is not None)
 
 
+SWEEP_BASES = dict(HERMITE_BASES, F3x=PolyRing(GF(3), "x"))
+
+
+@st.composite
+def one_row_matrices(draw):
+    """(A, top): one row over Z, F_2[x], F_3[x] or Q[x] whose entries
+    are random, zero or units, with a tail of 0-2 entries after the top
+    ``top``, that tail sometimes all zero."""
+    key = draw(st.sampled_from(sorted(SWEEP_BASES)))
+    base = SWEEP_BASES[key]
+    if key == "ZZ":
+        entry = st.integers(-12, 12)
+    else:
+        coeff = {"F2x": st.integers(0, 1), "F3x": st.integers(0, 2)}.get(key, st.fractions(-2, 2, max_denominator=3))
+        entry = st.lists(coeff, max_size=4).map(lambda cs: base.coerce_payload(tuple(cs)))
+    entry = st.one_of(entry, st.just(base.zero), st.just(base.one))
+    top = draw(st.integers(0, 5))
+    tail = draw(st.one_of(st.lists(entry, max_size=2), st.integers(1, 2).map(lambda k: [base.zero] * k)))
+    row = draw(st.lists(entry, min_size=top, max_size=top)) + tail
+    return Matrix(base, [row], shape=(1, len(row))), top
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_row_matrices())
+def test_one_row_sweep_matches_snf_kernel(case):
+    """The extended-gcd sweep spans the same lattice as the top rows of
+    the SNF kernel: both give one reduced Hermite form."""
+    A, top = case
+    swept = FPModule(A.ring, top, fpmod._projected_kernel(A, top))
+    K = kernel_basis(A)
+    reference, _ = column_hermite(Matrix(A.ring, K.rows[:top], shape=(top, K.n)))
+    assert swept.rel == reference
+
+
 def test_hermite_questions_build_no_smith_form(monkeypatch):
     """Hermite questions build no SNF; a map predicate builds at most
-    the one SNF of a kernel and the one Hermite form of a quotient."""
+    the one SNF of a kernel and the one Hermite form of a quotient.  A
+    kernel into a one-generator target is a one-row syzygy sweep and
+    builds no SNF at all."""
     calls, hermites = [], []
 
     def counted(A):
@@ -228,10 +264,11 @@ def test_hermite_questions_build_no_smith_form(monkeypatch):
     pairs = [(f, quotient(f.dst, f.mat)[1]) for f in maps]
     monkeypatch.setattr(fpmod, "column_hermite", counted_hermite)
     for f, proj in pairs:
+        kernel_snfs = 0 if f.dst.ngens == 1 else 1
         for predicate, args, snfs, forms in [
-            (FPMap.is_injective, (f,), 1, 0),
+            (FPMap.is_injective, (f,), kernel_snfs, 0),
             (FPMap.is_surjective, (f,), 0, 1),
-            (is_exact_pair, (f, proj), 1, 1),
+            (is_exact_pair, (f, proj), kernel_snfs, 1),
         ]:
             calls.clear(), hermites.clear()
             predicate(*args)

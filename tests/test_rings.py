@@ -40,6 +40,7 @@ coeff_lists = st.lists(st.integers(min_value=-4, max_value=4), max_size=6)
 def test_integer_xgcd_identity(a, b):
     g, u, v = ZZ.xgcd(a, b)
     assert u * a + v * b == g
+    assert ZZ.gcd(a, b) == g
     if a or b:
         assert g > 0 and a % g == 0 and b % g == 0
     else:
@@ -234,6 +235,7 @@ def test_poly_xgcd_identity(xs, ys):
     b = poly_from_coeffs(QX, ys)
     g, u, v = QX.xgcd(a, b)
     assert QX.add(QX.mul(u, a), QX.mul(v, b)) == g
+    assert QX.gcd(a, b) == g
     if a != QX.zero:
         q, r = QX.divmod_(a, g)
         assert r == QX.zero
