@@ -26,19 +26,19 @@ from adic_smith.fpmod import (
     tensor,
 )
 from adic_smith.linalg import Matrix, hstack
-from adic_smith.rings import PolyRing, QuotientRing, algebra_split
+from adic_smith.rings import QuotientRing, SparsePolyRing, algebra_split
 from adic_smith.tower import SmithIdeal, identity_on_generators, tower_levels
 
-# Depth budgets of the ``almost`` command: the deepest depths whose run
-# stays within 60 s and 512 MB peak resident memory.  Depth K lifts t to
-# u_K^(2^K), a payload of 2^K + 1 coefficients, so time and memory double
-# with each step of depth.  Measured at --levels 3 and 4 on a 2-core
-# machine with Python 3.11: depth 24 takes 2-3 s and 492 MB, depth 25
-# 5 s and 940 MB; with --witness, whose Hermite forms run on those
-# payloads, depth 19 takes 31-46 s and 310-413 MB, depth 20 over 60 s.
-# Deeper requests are refused before anything is built.
-MAX_DEPTH = 24
-MAX_WITNESS_DEPTH = 19
+# Depth budget of the ``almost`` command, with or without --witness.
+# Depth K lifts t to u_K^(2^K), one term of a ladder payload, so a run
+# costs about its K + 1 depths times its levels, not 2^K.  Measured at
+# --levels 3 on a 2-core machine with Python 3.11: depth 14000 takes
+# 11-18 s and 84 MB, 171 MB with --with-certificates (16-18 s and 183 MB
+# at --levels 4).  The certificates print the exponent 2^K, and Python
+# by default refuses to convert an int of more than 4,300 digits to text,
+# which K = 14285 would need; the budget stays below that.  Deeper
+# requests are refused before anything is built.
+MAX_DEPTH = 14000
 
 
 class AlmostContext:
@@ -57,11 +57,11 @@ class AlmostContext:
         self.K = K
         self._rings = {}
 
-    def ring(self, d: int) -> PolyRing:
+    def ring(self, d: int) -> SparsePolyRing:
         if not 0 <= d <= self.K:
             raise ValueError(f"depth {d} outside 0..{self.K}")
         if d not in self._rings:
-            self._rings[d] = PolyRing(self.field, "t" if d == 0 else f"u{d}")
+            self._rings[d] = SparsePolyRing(self.field, "t" if d == 0 else f"u{d}")
         return self._rings[d]
 
     def u(self, d: int):

@@ -41,7 +41,6 @@ from .tower import (
 from .monomial import MonomialLocalRing, TowerTooLarge, monomial_tower, parse_monomial, default_var_names
 from .almost import (
     MAX_DEPTH,
-    MAX_WITNESS_DEPTH,
     AlmostContext,
     AlmostModule,
     almost_adic_check,
@@ -547,11 +546,9 @@ def main(argv=None) -> int:
     if args.max_order > MAX_ORDER:
         sys.stderr.write(f"input error: --max-order: must be <= {MAX_ORDER}, got {args.max_order}\n")
         return EXIT_INPUT
-    if args.command == "almost":
-        most, note = (MAX_WITNESS_DEPTH, " with --witness") if args.witness else (MAX_DEPTH, "")
-        if args.depth > most:
-            sys.stderr.write(f"input error: --depth: must be <= {most}{note}, got {args.depth}\n")
-            return EXIT_INPUT
+    if args.command == "almost" and args.depth > MAX_DEPTH:
+        sys.stderr.write(f"input error: --depth: must be <= {MAX_DEPTH}, got {args.depth}\n")
+        return EXIT_INPUT
     if args.command != "tower" and args.engine == "monomial":
         sys.stderr.write("input error: --engine: only tower supports the monomial engine\n")
         return EXIT_INPUT

@@ -173,7 +173,7 @@ class FPModule:
             if isinstance(base, IntegerRing):
                 total *= abs(d)
             elif isinstance(base, PolyRing) and isinstance(base.field, PrimeField):
-                total *= base.field.p ** (len(d) - 1)
+                total *= base.field.p ** base.degree(d)
             else:
                 return None
         return total
@@ -204,7 +204,7 @@ class FPModule:
             raise TypeError("dimension counting needs a polynomial base")
         if self.free_rank() > 0:
             return None
-        return sum(len(self.rel.rows[i][j]) - 1 for i, j in self._pivots)
+        return sum(self.base.degree(self.rel.rows[i][j]) for i, j in self._pivots)
 
     def describe(self):
         base = self.base

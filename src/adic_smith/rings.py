@@ -5,6 +5,8 @@ Every ring in the package is one of
 * ``IntegerRing``            -- Z
 * ``ModRing(n)``             -- Z/n, n >= 2
 * ``PolyRing(field, var)``   -- k[x] for k = Q or F_p
+* ``SparsePolyRing(field, var)`` -- k[x] again, with term-list payloads;
+  the rings of the dyadic ladder (``almost.AlmostContext``)
 * ``QuotientRing(base, f)``  -- R/(f) with R Euclidean (Z or k[x]); nested
   quotients are rejected.
 
@@ -15,6 +17,7 @@ All payloads are kept canonical at all times:
 * integers mod n reduced to [0, n)
 * polynomial coefficient tuples have no trailing zeros; rationals are
   ``fractions.Fraction`` (lowest terms, positive denominator)
+* sparse polynomial payloads list their nonzero terms by exponent
 * quotient payloads are reduced mod the canonical associate of the
   modulus (nonnegative for Z, monic for k[x])
 
@@ -23,8 +26,9 @@ Coefficients are accumulated with Python's own ``+`` and ``*``, starting
 from ``field.zero`` (so Q[x] payloads keep ``Fraction`` zeros), and each
 output coefficient is reduced once at the end: ``% p`` over F_p, nothing
 over Q.  ``add`` and ``sub`` reduce only the coefficients both operands
-have, and ``mul`` and ``divmod_`` loop only over nonzero terms, which is
-what keeps the sparse payloads of the dyadic ladder (x -> x^(2^k)) cheap.
+have, and ``mul`` and ``divmod_`` skip zero coefficients, but each still
+costs the degree.  The dyadic ladder lifts t to u^(2^K), so its rings
+are ``SparsePolyRing``, whose operations cost the number of terms.
 Values from outside enter through ``coerce_payload``; the columns of a
 ``linalg.Matrix`` are canonical, and ``fpmod.FPModule`` takes them as
 they are.
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import reprlib
 from fractions import Fraction
+from bisect import insort
 from itertools import product, takewhile
 from math import gcd
 from operator import not_
@@ -533,7 +538,7 @@ class PolyRing(Ring):
     def degree(self, a) -> int:
         if not a:
             raise ValueError("degree of zero polynomial")
-        return len(a) - 1
+        return self.euclid_size(a)
 
     def divmod_(self, a, b):
         if not b:
@@ -574,9 +579,9 @@ class PolyRing(Ring):
         return len(a) == 1
 
     def unit_inverse(self, u):
-        if len(u) != 1:
+        if not self.is_unit(u):
             raise ValueError(f"not a unit in {self!r}: {u!r}")
-        return (self.field.inv(u[0]),)
+        return self.canonical_unit(u)
 
     def exact_div(self, a, b):
         q, r = self.divmod_(a, b)
@@ -584,26 +589,17 @@ class PolyRing(Ring):
             raise ValueError("inexact polynomial division")
         return q
 
-    def stretch(self, a, s: int):
-        """Substitute x -> x^s (used for dyadic base change)."""
-        if s < 1:
-            raise ValueError(f"stretch factor must be >= 1: {s}")
-        if not a:
-            return ()
-        out = [self.field.zero] * ((len(a) - 1) * s + 1)
-        for i, c in enumerate(a):
-            out[i * s] = c
-        return tuple(out)
-
     def format_elem(self, a):
-        if not a:
+        return self._format_terms([(i, c) for i, c in enumerate(a) if c])
+
+    def _format_terms(self, terms):
+        """The element whose nonzero terms are ``terms``, (exponent,
+        coefficient) pairs by increasing exponent, highest term first."""
+        if not terms:
             return "0"
         f = self.field
         parts = []
-        for i in range(len(a) - 1, -1, -1):
-            c = a[i]
-            if c == f.zero:
-                continue
+        for i, c in reversed(terms):
             neg = f.is_negative(c)
             mag = f.neg(c) if neg else c
             if i == 0:
@@ -618,20 +614,148 @@ class PolyRing(Ring):
         return " ".join(parts)
 
     def __eq__(self, other):
+        # a sparse ring never equals a dense one: their payloads differ
         return (
-            isinstance(other, PolyRing)
+            type(other) is type(self)
             and other.field == self.field
             and other.variable == self.variable
         )
 
     def __hash__(self):
-        return hash(("poly", self.field, self.variable))
+        return hash((type(self), self.field, self.variable))
 
     def __repr__(self):
         return f"{self.field!r}[{self.variable}]"
 
     def to_json(self):
         return {"kind": "poly", "coeff": self.field.to_json(), "var": self.variable}
+
+
+class SparsePolyRing(PolyRing):
+    """k[x] with payloads ((e0, c0), (e1, c1), ...), e0 < e1 < ..., every
+    ci != 0, so u^(2^K) is one term.  Products accumulate in a dict;
+    division reads each quotient term off the remainder's leading
+    exponent (after Johnson, SIGSAM Bull. 8(3), 1974, and Monagan &
+    Pearce, J. Symbolic Comput. 46(7), 2011, whose heap is a sorted list
+    here: ``bisect`` is loaded anyway, while importing ``heapq`` adds
+    about 70 kB to the peak memory of every process)."""
+
+    def __init__(self, field, var: str):
+        super().__init__(field, var)
+        self.one = ((0, field.one),)
+        self.gen = ((1, field.one),)
+
+    def _canonical(self, acc: dict) -> tuple:
+        """The payload whose terms are ``acc``'s nonzero ones, reduced mod p."""
+        p = self._p
+        return tuple(sorted([(e, r) for e, c in acc.items() if (r := c % p if p else c)]))
+
+    def add(self, a, b):
+        if not a or not b:
+            return a or b
+        acc = dict(a)
+        get = acc.get
+        for e, c in b:
+            acc[e] = get(e, 0) + c
+        return self._canonical(acc)
+
+    def sub(self, a, b):
+        if not b:
+            return a
+        acc = dict(a)
+        get = acc.get
+        for e, c in b:
+            acc[e] = get(e, 0) - c
+        return self._canonical(acc)
+
+    def neg(self, a):
+        p = self._p
+        if p:
+            return tuple([(e, -c % p) for e, c in a])
+        return tuple([(e, -c) for e, c in a])
+
+    def mul(self, a, b):
+        acc = {}
+        get = acc.get
+        for ea, ca in a:
+            for eb, cb in b:
+                e = ea + eb
+                acc[e] = get(e, 0) + ca * cb
+        return self._canonical(acc)
+
+    def from_int(self, k):
+        c = self.field.from_int(k)
+        return ((0, c),) if c else ()
+
+    def coerce_payload(self, x):
+        if isinstance(x, int):
+            return self.from_int(x)
+        if not isinstance(x, tuple):
+            raise ValueError(f"not a sparse polynomial payload: {x!r}")
+        acc, coerce = {}, self.field.coerce
+        for t in x:
+            if type(t) is not tuple or len(t) != 2 or type(t[0]) is not int or t[0] < 0:
+                raise ValueError(f"not a sparse polynomial payload: {x!r}")
+            acc[t[0]] = acc.get(t[0], 0) + coerce(t[1])
+        return self._canonical(acc)
+
+    def divmod_(self, a, b):
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        db, lead = b[-1]
+        if not a or a[-1][0] < db:
+            return (), a
+        p = self._p
+        inv = self.field.inv(lead)
+        low = b[:-1]
+        rem = dict(a)
+        # the remainder's exponents >= db, ascending; an exponent whose
+        # term cancelled is skipped when it comes off the end
+        pending = [e for e, _ in a if e >= db]
+        q = []
+        while pending:
+            e = pending.pop()
+            c = rem.pop(e, None)
+            if c is None:
+                continue
+            c *= inv
+            if p:
+                c %= p
+            s = e - db
+            q.append((s, c))
+            for eb, cb in low:
+                k = s + eb
+                v = rem.get(k, 0) - c * cb
+                if p:
+                    v %= p
+                if v:
+                    if k >= db and k not in rem:
+                        insort(pending, k)
+                    rem[k] = v
+                else:
+                    del rem[k]
+        q.reverse()
+        return tuple(q), tuple(sorted(rem.items()))
+
+    def euclid_size(self, a):
+        return a[-1][0] if a else 0
+
+    def canonical_unit(self, a):
+        if not a:
+            return self.one
+        return ((0, self.field.inv(a[-1][1])),)
+
+    def is_unit(self, a):
+        return len(a) == 1 and a[0][0] == 0
+
+    def stretch(self, a, s: int):
+        """Substitute x -> x^s (used for dyadic base change)."""
+        if s < 1:
+            raise ValueError(f"stretch factor must be >= 1: {s}")
+        return tuple([(e * s, c) for e, c in a])
+
+    def format_elem(self, a):
+        return self._format_terms(a)
 
 
 class QuotientRing(Ring):
@@ -740,10 +864,11 @@ def residues(base: Ring, d):
     Over Z: 0, 1, ..., |d| - 1.  Over F_p[x]: every coefficient vector of
     length deg d, lexicographically, with the constant term varying
     slowest.  Element tables and report orders are built on this order.
+    A ``SparsePolyRing`` raises TypeError: no table runs on the ladder.
     """
     if isinstance(base, IntegerRing):
         return list(range(abs(d))) or [0]
-    if isinstance(base, PolyRing) and isinstance(base.field, PrimeField):
+    if type(base) is PolyRing and isinstance(base.field, PrimeField):
         return [_strip(list(c)) for c in product(range(base.field.p), repeat=len(d) - 1)]
     raise TypeError(f"cannot enumerate residues over {base!r}")
 

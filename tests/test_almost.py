@@ -37,10 +37,11 @@ def test_ladder_rings_and_payloads(ctx):
     R0 = ctx.ring(0)
     assert R0.variable == "t"
     assert ctx.ring(2).variable == "u2"
-    # t = u_d^(2^d)
-    assert ctx.lift(R0.gen, 0, 3) == (0,) * 8 + (1,)
-    assert ctx.multiplier(0, 2) == (0, 0, 0, 0, 1)
-    assert ctx.multiplier(1, 3) == (0, 0, 0, 0, 1)
+    # t = u_d^(2^d); ladder payloads are (exponent, coefficient) terms
+    assert ctx.lift(R0.gen, 0, 3) == ((8, 1),)
+    assert ctx.ring(3).format_elem(ctx.lift(R0.gen, 0, 3)) == "u3^8"
+    assert ctx.multiplier(0, 2) == ((4, 1),)
+    assert ctx.multiplier(1, 3) == ((4, 1),)
     assert ctx.multiplier(2, 2) == ctx.u(2)
     with pytest.raises(ValueError, match="depths >= e"):
         ctx.multiplier(3, 1)
@@ -62,7 +63,7 @@ def test_module_at_depth_stretches_relations(ctx):
     M = FPModule.cyclic(R0, R0.gen)
     M2 = module_at_depth(ctx, M, 0, 2)
     # t-torsion becomes u_2^4-torsion
-    assert M2.invariant_factors() == [(0, 0, 0, 0, 1)]
+    assert M2.invariant_factors() == [((4, 1),)]
     assert M2.dim_over_field() == 4
     f = FPMap.scalar(M, R0.gen)
     f2 = map_at_depth(ctx, f, 0, 2)
@@ -114,7 +115,7 @@ def test_firmify_surrogate(ctx):
     am = AlmostModule(ctx, 0, FPModule.cyclic(R0, R0.gen))
     sur, mu = firmify(am, 2)
     assert sur.depth == 2
-    assert sur.module.invariant_factors() == [(0, 0, 0, 0, 1)]
+    assert [ctx.ring(2).format_elem(d) for d in sur.module.invariant_factors()] == ["u2^4"]
     assert mu.dst == am.at_depth(2)
     # mu multiplies by u_2^2, so its image is u_2^2 * M
     I, _ = mu.image()

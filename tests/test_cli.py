@@ -13,11 +13,11 @@ import time
 import pytest
 
 from adic_smith import cli
-from adic_smith.almost import MAX_DEPTH, MAX_WITNESS_DEPTH
+from adic_smith.almost import MAX_DEPTH, AlmostContext
 from adic_smith.cli import main
 from adic_smith.monomial import MONOMIAL_BUDGET
 from adic_smith.oracle import LAW_NAMES, MAX_ORDER
-from adic_smith.rings import IntegerRing
+from adic_smith.rings import GF, IntegerRing
 from adic_smith.tower import SmithIdeal, Tower
 
 GOOD_DOC = {
@@ -375,14 +375,14 @@ def test_negative_depth_refused():
 
 
 DEPTH_BOUND_RUNS = [
-    (["--depth", "1000", "--levels", "1"], f"input error: --depth: must be <= {MAX_DEPTH}, got 1000"),
+    (["--depth", "1000000", "--levels", "1"], f"input error: --depth: must be <= {MAX_DEPTH}, got 1000000"),
     (
-        ["--depth", str(MAX_WITNESS_DEPTH + 1), "--witness"],
-        f"input error: --depth: must be <= {MAX_WITNESS_DEPTH} with --witness, got {MAX_WITNESS_DEPTH + 1}",
+        ["--depth", str(MAX_DEPTH + 1), "--witness", "--with-certificates"],
+        f"input error: --depth: must be <= {MAX_DEPTH}, got {MAX_DEPTH + 1}",
     ),
     (
-        ["--depth", "1000", "--input", "/no/such/file.json"],
-        f"input error: --depth: must be <= {MAX_DEPTH}, got 1000",
+        ["--depth", str(MAX_DEPTH + 1), "--input", "/no/such/file.json"],
+        f"input error: --depth: must be <= {MAX_DEPTH}, got {MAX_DEPTH + 1}",
     ),
 ]
 
@@ -396,6 +396,24 @@ def test_depth_above_budget_refused(extra, needle):
     start = time.perf_counter()
     check_exit2(["almost"] + extra, needle)
     assert time.perf_counter() - start < 1.0
+
+
+def test_depth_budget_certificates_print():
+    """The deepest certificate, u_K^(2^K) at K = MAX_DEPTH, converts to
+    text within the interpreter's limit on int-to-str digits."""
+    ctx = AlmostContext(GF(2), MAX_DEPTH)
+    text = ctx.ring(MAX_DEPTH).format_elem(ctx.multiplier(0, MAX_DEPTH))
+    assert text == f"u{MAX_DEPTH}^{2 ** MAX_DEPTH}"
+
+
+def test_almost_witness_at_depth_20():
+    """Depth costs its number of terms: the witness at depth 20, where t
+    lifts to u_20^1048576, is quick."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(["almost", "--depth", "20", "--levels", "3", "--witness"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert all(json.loads(out)["grid"]["ok_at_depth"].values())
 
 
 CORPUS_BOUND_RUNS = [

@@ -20,7 +20,9 @@ and Q[x] ideals with non-integer coefficients) were captured while
 every generator product was still multiplied out from 1, before
 products were carried up from one degree to the next.  They live in a
 document of their own so that the name lists of the error runs above
-stay as frozen.
+stay as frozen.  The last run, the almost ladder at depth 14 with
+its witness (t = u_14^16384), was captured while ladder payloads were
+still dense coefficient tuples, before they became term lists.
 """
 
 import contextlib
@@ -175,6 +177,7 @@ DECK = [
     ("tower-qlin-12-cert", ["tower", "--input", "@2", "--ideal", "qlin", "--levels", "12",
                             "--with-certificates"]),
     ("graded-qfr-3", ["graded", "--input", "@2", "--ideal", "qfr", "--levels", "3"]),
+    ("almost-depth14-witness", ["almost", "--depth", "14", "--levels", "3", "--witness"]),
 ]
 
 # id -> (exit code, md5 of stdout + stderr)
@@ -256,6 +259,7 @@ FROZEN = {
     'tower-fxx-300': (0, '6c3e2e33fd7f52413cda435d01a5931d'),
     'tower-qlin-12-cert': (0, '3ec33823f46ad95886d1472b30151fba'),
     'graded-qfr-3': (0, 'ccb672a9effd0859e9172f961849ebdc'),
+    'almost-depth14-witness': (1, '91ea02578e60b937989b18f8f937b6b8'),
 }
 
 

@@ -5,6 +5,8 @@ coefficient lists, quotient reduction by long division, and xgcd by
 its defining identities.  Every ``PolyRing`` operation is also checked
 against ``Schoolbook``, a copy of the field-method arithmetic it replaced,
 on dense and sparse payloads of up to 4,096 coefficients.
+``SparsePolyRing``, the term-list ring of the dyadic ladder, is checked
+against dense ``PolyRing`` on the same elements.
 """
 
 import random
@@ -21,7 +23,9 @@ from adic_smith.rings import (
     ModRing,
     PolyRing,
     QuotientRing,
+    SparsePolyRing,
     is_prime,
+    residues,
     ring_from_json,
 )
 
@@ -242,10 +246,13 @@ def test_poly_xgcd_identity(xs, ys):
 
 
 def test_stretch_is_substitution():
-    # x^2 + x under x -> x^4 becomes x^8 + x^4
-    p = poly_from_coeffs(F2X, [0, 1, 1])
-    s = F2X.stretch(p, 4)
-    assert s == poly_from_coeffs(F2X, [0, 0, 0, 0, 1, 0, 0, 0, 1])
+    # x^2 + x under x -> x^4 becomes x^8 + x^4, on the ladder's term payloads
+    R = SparsePolyRing(GF(2), "x")
+    p = poly_from_coeffs(R, [0, 1, 1])
+    s = R.stretch(p, 4)
+    assert s == poly_from_coeffs(R, [0, 0, 0, 0, 1, 0, 0, 0, 1]) == ((4, 1), (8, 1))
+    with pytest.raises(ValueError, match=">= 1"):
+        R.stretch(p, 0)
 
 
 def test_quotient_ring_reduction():
@@ -359,3 +366,110 @@ def test_is_prime_refuses_above_certified_bound():
         GF(3317044064679887385961981)
     with pytest.raises(ValueError, match="certified only below"):
         GF(10**400)
+
+
+# -- SparsePolyRing against dense PolyRing ----------------------------------
+
+SPARSE_FIELDS = {"GF2": GF(2), "GF3": GF(3), "QQ": QQ}
+
+
+def _dense(field, a):
+    """The dense payload of a term payload."""
+    out = [field.zero] * (a[-1][0] + 1 if a else 0)
+    for e, c in a:
+        out[e] = c
+    return tuple(out)
+
+
+def _sparse_canonical(field, a):
+    """Exponents strictly increasing, no zero coefficients, and
+    coefficients reduced: in [1, p) over F_p, Fractions over Q."""
+    exps = [e for e, _ in a]
+    if not (isinstance(a, tuple) and all(type(t) is tuple and len(t) == 2 for t in a)):
+        return False
+    if not all(type(e) is int and e >= 0 for e in exps) or any(x >= y for x, y in zip(exps, exps[1:])):
+        return False
+    if field == QQ:
+        return all(type(c) is Fraction and c != 0 for _, c in a)
+    return all(type(c) is int and 0 < c < field.p for _, c in a)
+
+
+def _terms(field):
+    """Term dicts: zero, units, and few terms at low or high exponents.
+    Exponents stay lower over Q, whose gcds swell the coefficients."""
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+        top = 24
+    else:
+        coeff = st.integers(1, field.p - 1)
+        top = 300
+    return st.one_of(
+        st.just({}),
+        st.dictionaries(st.just(0), coeff, min_size=1),
+        st.dictionaries(st.integers(0, 6), coeff, max_size=7),
+        st.dictionaries(st.integers(0, top), coeff, max_size=4),
+    )
+
+
+@pytest.mark.parametrize("name", SPARSE_FIELDS)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sparse_ops_match_dense(name, data):
+    field = SPARSE_FIELDS[name]
+    S, D = SparsePolyRing(field, "u"), PolyRing(field, "u")
+    a = S.coerce_payload(tuple(data.draw(_terms(field), "a").items()))
+    b = S.coerce_payload(tuple(data.draw(_terms(field), "b").items()))
+    da, db = _dense(field, a), _dense(field, b)
+    assert D.coerce_payload(da) == da and D.coerce_payload(db) == db
+    pairs = [
+        (S.add(a, b), D.add(da, db)),
+        (S.sub(a, b), D.sub(da, db)),
+        (S.sub(b, a), D.sub(db, da)),
+        (S.neg(a), D.neg(da)),
+        (S.mul(a, b), D.mul(da, db)),
+        (S.gcd(a, b), D.gcd(da, db)),
+        (S.canonical_unit(a), D.canonical_unit(da)),
+        (a, da),
+        (b, db),
+    ]
+    pairs += zip(S.xgcd(a, b), D.xgcd(da, db))
+    for x, y, dx, dy in ((a, b, da, db), (b, a, db, da)):
+        if y:
+            pairs += zip(S.divmod_(x, y), D.divmod_(dx, dy))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                S.divmod_(x, y)
+    s = data.draw(st.sampled_from([1, 2, 4, 1024]), "s")
+    stretched = [field.zero] * ((len(da) - 1) * s + 1) if da else []
+    for i, c in enumerate(da):
+        stretched[i * s] = c
+    pairs.append((S.stretch(a, s), tuple(stretched)))
+    if S.is_unit(a):
+        pairs.append((S.unit_inverse(a), D.unit_inverse(da)))
+    for got, want in pairs:
+        assert _sparse_canonical(field, got)
+        assert _dense(field, got) == want
+    assert S.is_unit(a) == D.is_unit(da)
+    assert S.euclid_size(a) == D.euclid_size(da)
+    assert S.format_elem(a) == D.format_elem(da)
+    if a:
+        assert S.degree(a) == D.degree(da)
+    assert S.parse(S.format_elem(a)) == a
+
+
+def test_sparse_ring_is_not_the_dense_ring():
+    S, D = SparsePolyRing(GF(2), "x"), PolyRing(GF(2), "x")
+    assert S != D and D != S and S == SparsePolyRing(GF(2), "x")
+    assert S.to_json() == D.to_json()
+    # terms are summed, reduced, stripped of zeros and sorted
+    S3 = SparsePolyRing(GF(3), "x")
+    assert S3.coerce_payload(((5, 4), (3, 5), (3, 1), (0, 2))) == ((0, 2), (5, 1))
+    assert S3.coerce_payload(-4) == ((0, 2),)
+    with pytest.raises(ValueError, match="sparse polynomial payload"):
+        S.coerce_payload((0, 1))
+    with pytest.raises(ValueError, match="not a unit"):
+        S.unit_inverse(S.gen)
+    with pytest.raises(ValueError, match="degree of zero"):
+        S.degree(S.zero)
+    with pytest.raises(TypeError, match="cannot enumerate"):
+        residues(S, S.gen)
