@@ -53,6 +53,12 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# Law-audit tuple bounds.  At the edge, verify-laws on z4 or f2x takes
+# 6-9 s and about 140 MB on a 2-core machine; at --pair-bound 128 it
+# ran past 60 s.
+MAX_PAIR_BOUND = 64
+MAX_TRIPLE_BOUND = 32
+
 
 class InputError(ValueError):
     """A document or invocation problem, reported with its JSON path."""
@@ -543,9 +549,14 @@ def main(argv=None) -> int:
         if value < least:
             sys.stderr.write(f"input error: {flag}: must be >= {least}, got {value}\n")
             return EXIT_INPUT
-    if args.max_order > MAX_ORDER:
-        sys.stderr.write(f"input error: --max-order: must be <= {MAX_ORDER}, got {args.max_order}\n")
-        return EXIT_INPUT
+    for flag, value, most in (
+        ("--max-order", args.max_order, MAX_ORDER),
+        ("--pair-bound", args.pair_bound, MAX_PAIR_BOUND),
+        ("--triple-bound", args.triple_bound, MAX_TRIPLE_BOUND),
+    ):
+        if value > most:
+            sys.stderr.write(f"input error: {flag}: must be <= {most}, got {value}\n")
+            return EXIT_INPUT
     if args.command == "almost" and args.depth > MAX_DEPTH:
         sys.stderr.write(f"input error: --depth: must be <= {MAX_DEPTH}, got {args.depth}\n")
         return EXIT_INPUT

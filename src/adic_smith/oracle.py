@@ -39,9 +39,12 @@ taken greedily in element order, each new one adds the cosets of the span
 before it, and it contributes one relation, so the relations form a
 triangular basis of the relation lattice.  A law audit builds the tables
 that depend on corpus modules and pool arrows alone (their tensor tables,
-hom lists, kernel and cokernel arrows) once per ``check_monoidal_laws``
-call and drops them when it returns; tables of derived modules are built
-per tuple, and ``tensor_by_elements`` always builds a fresh table.
+hom lists, kernel and cokernel arrows, and the pushout products of pool
+pairs) once per ``check_monoidal_laws`` call and drops them when it
+returns; tables of derived modules are built per tuple, and
+``tensor_by_elements`` always builds a fresh table.  A tensor with a
+zero factor, and a pushout product whose two blocks are zero, are built
+as their one element directly, with the tables the closure would give.
 
 Corpus rings are Z/2, Z/3, Z/4 and F_2[x]/(x^2); the integers are
 also available as a scalar domain for plain abelian-group examples.
@@ -70,11 +73,12 @@ def _shared_in_audit(build):
         audit = _audit.get()
         if audit is None or not audit[0].issuperset(args):
             return build(*args)
-        memo = audit[1]
-        key = (build, *args)
-        if key not in memo:
-            memo[key] = build(*args)
-        return memo[key]
+        memo, key = audit[1], (build, *args)
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = build(*args)
+            return value
 
     return call
 
@@ -461,6 +465,11 @@ def enumerate_homs(M: TableModule, N: TableModule):
 
 
 def hom_count(M: TableModule, N: TableModule) -> int:
+    """Number of module maps M -> N; inside a law audit, the length of
+    the shared list for two corpus modules."""
+    audit = _audit.get()
+    if audit is not None and M in audit[0] and N in audit[0]:
+        return len(enumerate_homs(M, N))
     return sum(1 for _ in _homs(M, N))
 
 
@@ -469,15 +478,16 @@ def hom_torsion_structure(M: TableModule, N: TableModule):
 
     The d-torsion counts are read off the enumerated maps: d kills a map
     exactly when it kills the image of every generator, that is when the
-    order of each image divides d.  The search is
+    lcm of the images' orders divides d.  The search is
     the exhaustive one of ``hom_count``, so this answers for every pair.
     """
     divisors = [d for d in range(1, N.exponent + 1) if N.exponent % d == 0]
     total, counts = 0, dict.fromkeys(divisors, 0)
     for ys in _homs(M, N):
         total += 1
+        o = math.lcm(*map(N.orders.__getitem__, ys))
         for d in divisors:
-            counts[d] += all(d % N.orders[y] == 0 for y in ys)
+            counts[d] += d % o == 0
     exp = next(d for d in divisors if counts[d] == total)
     full = {d: counts[d] for d in divisors if exp % d == 0}
     return total, invariant_factors_from_torsion(total, full)
@@ -498,13 +508,17 @@ class TensorTable:
         k, l = len(M.gens), len(N.gens)
         e = math.gcd(M.exponent, N.exponent)
         dim = k * l
+        if not dim:
+            # no generator pairs: the one coset (), with nothing to close
+            self._M, self._N, self._e, self._label, self._names = M, N, e, {(): 0}, ((),)
+            act = None if ring.is_integers else [[0] for _ in ring.elements]
+            self.module = TableModule(ring, self._names, [[0]], act, orders=[1])
+            return
         # relations as (position, coefficient) terms: rel (x) n_j, m_i (x) rel,
         # and the balancing r*m_i (x) n_j - m_i (x) r*n_j
-        terms = []
-        if dim:
-            terms += [[(a * l + j, c) for a, c in enumerate(v)] for v in M.rels for j in range(l)]
-            terms += [[(i * l + b, c) for b, c in enumerate(v)] for v in N.rels for i in range(k)]
-        if dim and not ring.is_integers:
+        terms = [[(a * l + j, c) for a, c in enumerate(v)] for v in M.rels for j in range(l)]
+        terms += [[(i * l + b, c) for b, c in enumerate(v)] for v in N.rels for i in range(k)]
+        if not ring.is_integers:
             terms += [
                 [(a * l + j, c) for a, c in enumerate(M.scalar_gen_coords(r, i))]
                 + [(i * l + b, -c) for b, c in enumerate(N.scalar_gen_coords(r, j))]
@@ -734,15 +748,15 @@ class ArrowSquare:
 
 
 def count_arrow_squares(a: TableArrow, b: TableArrow) -> int:
-    tops = enumerate_homs(a.src, b.src)
-    bottoms = enumerate_homs(a.dst, b.dst)
-    n = 0
-    for t in tops:
-        lhs = {x: b.f[t[x]] for x in a.src.elements}
-        for bo in bottoms:
-            if all(lhs[x] == bo[a.f[x]] for x in a.src.elements):
-                n += 1
-    return n
+    """Pairs (top, bottom) with b.f o top == bottom o a.f: each bottom is
+    keyed by its values on a.f's image, and each top looks up b.f o top."""
+    src, bf = a.src.elements, b.f
+    image = [a.f[x] for x in src]
+    keys = {}
+    for bo in enumerate_homs(a.dst, b.dst):
+        key = tuple([bo[y] for y in image])
+        keys[key] = keys.get(key, 0) + 1
+    return sum([keys.get(tuple([bf[t[x]] for x in src]), 0) for t in enumerate_homs(a.src, b.src)])
 
 
 def _extend(T: TensorTable, images, target: TableModule) -> dict:
@@ -772,6 +786,14 @@ class BoxTables:
         self.T11 = _tensor_table(a.dst, b.dst)
         M01, M10, M11 = self.T01.module, self.T10.module, self.T11.module
         n10 = self._n10 = len(M10)
+        ring = a.src.ring
+        if len(M01) == 1 and n10 == 1:
+            # both blocks are zero: P is the one pair (0, 0), mapped to zero
+            self.label = {0: 0}
+            act = None if ring.is_integers else [{0: 0} for _ in ring.elements]
+            self.P = TableModule(ring, ((0, 0),), {0: {0: 0}}, act, (0,))
+            self.arrow = TableArrow(self.P, M11, {0: M11.zero})
+            return
         s01, s10 = M01.sum, M10.sum
         # (m (x) b(n), a(m) (x) -n) over generators m, n, the second being
         # -(a(m) (x) n) by bilinearity
@@ -808,11 +830,11 @@ class BoxTables:
             ru, rv = s01[p // n10], s10[p % n10]
             sum[p] = {q: label[ru[q // n10] * n10 + rv[q % n10]] for q in reps}
         act = None
-        if not a.src.ring.is_integers:
+        if not ring.is_integers:
             act01, act10 = M01.act, M10.act
             act = _Lazy(lambda r: {p: label[act01[r][p // n10] * n10 + act10[r][p % n10]] for p in reps})
         names = tuple(iproduct(range(len(M01)), range(n10)))
-        self.P = TableModule(a.src.ring, names, sum, act, reps)
+        self.P = TableModule(ring, names, sum, act, reps)
 
         left = [self.T11.pairing(a.f[g], h) for g, h in iproduct(a.src.gens, b.dst.gens)]
         right = [self.T11.pairing(g, b.f[h]) for g, h in iproduct(a.dst.gens, b.src.gens)]
@@ -835,6 +857,9 @@ class BoxTables:
 
     def inc2(self, v):
         return self.project(self.T01.module.zero, v)
+
+
+_box_tables = _shared_in_audit(BoxTables)
 
 
 def _is_iso(src: TableModule, dst: TableModule, f: dict) -> bool:
@@ -948,8 +973,8 @@ def _tensor_assoc(a, b, c):
 
 
 def _box_symmetry(a, b):
-    bab = BoxTables(a, b)
-    bba = BoxTables(b, a)
+    bab = _box_tables(a, b)
+    bba = _box_tables(b, a)
     swap_u = _swap_map(bab.T01, a.src, b.dst, bba.T10)
     swap_v = _swap_map(bab.T10, a.dst, b.src, bba.T01)
     sP = {}
@@ -961,9 +986,9 @@ def _box_symmetry(a, b):
 
 
 def _box_assoc(a, b, c):
-    AB = BoxTables(a, b)
+    AB = _box_tables(a, b)
     L = BoxTables(AB.arrow, c)
-    BC = BoxTables(b, c)
+    BC = _box_tables(b, c)
     R = BoxTables(a, BC.arrow)
     P = R.P
 
@@ -992,7 +1017,7 @@ def _box_assoc(a, b, c):
 
 
 def _cok_monoidal(a, b):
-    C, _ = cokernel_table(BoxTables(a, b).arrow)
+    C, _ = cokernel_table(_box_tables(a, b).arrow)
     ca, cb = cok_arrow(a), cok_arrow(b)
     Tcc = _tensor_table(ca.dst, cb.dst)
     imgs = [Tcc.pairing(ca.f[g], cb.f[h]) for g, h in iproduct(a.dst.gens, b.dst.gens)]
@@ -1059,8 +1084,9 @@ def check_monoidal_laws(corpus: FiniteCorpus, laws="all", pair_bound=16, triple_
 
     Never raises on a law failure: failures are reported verbatim.  For
     the length of the call, the hom lists and tensor tables of corpus
-    modules and the kernel and cokernel arrows of pool arrows are built
-    once and shared by every tuple; they are dropped when it returns."""
+    modules, and the kernel and cokernel arrows and pairwise pushout
+    products of pool arrows, are built once and shared by every tuple;
+    they are dropped when it returns."""
     selected = LAW_NAMES if laws == "all" else tuple(laws)
     bad = [x for x in selected if x not in LAW_NAMES]
     if bad:

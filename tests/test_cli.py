@@ -422,18 +422,26 @@ CORPUS_BOUND_RUNS = [
     (["--pair-bound", "0", "--triple-bound", "0"], "--pair-bound: must be >= 1, got 0"),
     (["--triple-bound", "0"], "--triple-bound: must be >= 1, got 0"),
     (["--max-order", "100"], f"--max-order: must be <= {MAX_ORDER}, got 100"),
+    (["--pair-bound", "65"], "--pair-bound: must be <= 64, got 65"),
+    (["--triple-bound", "33"], "--triple-bound: must be <= 32, got 33"),
+    (["--pair-bound", "128", "--triple-bound", "64"], "--pair-bound: must be <= 64, got 128"),
 ]
 
 
 @pytest.mark.parametrize(
     "extra,needle",
     CORPUS_BOUND_RUNS,
-    ids=["max-order-neg", "max-order-zero", "pair-triple-zero", "triple-zero", "max-order-above-guardrail"],
+    ids=[
+        "max-order-neg", "max-order-zero", "pair-triple-zero", "triple-zero", "max-order-above-guardrail",
+        "pair-above-budget", "triple-above-budget", "pair-triple-above-budget",
+    ],
 )
 def test_corpus_bounds_below_one_refused(extra, needle):
-    """Bounds below 1, and a corpus bound past the oracle's guardrail,
-    exit 2 naming the flag."""
+    """Bounds below 1, a corpus bound past the oracle's guardrail, and
+    tuple bounds past the audit budget exit 2 naming the flag, at once."""
+    start = time.perf_counter()
     check_exit2(["verify-laws", "--ring", "z2"] + extra, f"input error: {needle}")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_monomial_tower_past_budget_names_levels():

@@ -392,6 +392,158 @@ def test_box_quotient_is_the_direct_sum_quotient(ring_name, data):
             assert Q.smul(r, p) == box.P.smul(r, p)
 
 
+def _block_arrows(a, b):
+    """a (x) 1 on T01 and 1 (x) b on T10, both into T11, as tables."""
+    ida = TableArrow(a.dst, a.dst, {y: y for y in a.dst.elements})
+    idb = TableArrow(b.dst, b.dst, {y: y for y in b.dst.elements})
+    return oracle.tensor_arrow_tables(a, idb)[2].f, oracle.tensor_arrow_tables(ida, b)[2].f
+
+
+def test_box_arrow_is_a_module_map():
+    # The arrow is read off coset representatives.  On all of P it must be
+    # additive and commute with every scalar, and on each block it must be
+    # the tensor arrow, which makes it well defined on the cosets.
+    def pool_pairs(ring, bound, corpus_bound=16):
+        pool = all_table_arrows(FiniteCorpus(ring, corpus_bound), bound)
+        return [(a, b) for a in pool for b in pool if a.order() * b.order() <= bound]
+
+    cases = {ring: pool_pairs(ring, 16) for ring in ("z3", "z4", "f2x")}
+    # The pairs above never have a relation (m (x) b(n), -(a(m) (x) n))
+    # with both parts of order 3 or 4, so they cannot tell its sign; the
+    # pairs of maps Z/3 -> Z/3 (pair order 81) can.
+    cases["z3, Z/3 -> Z/3"] = [
+        (a, b) for a, b in pool_pairs("z3", 81, 3) if len(a.src) == len(b.src) == 3 == len(a.dst) == len(b.dst)
+    ]
+    for pairs in cases.values():
+        for a, b in pairs:
+            box = BoxTables(a, b)
+            P, T, f = box.P, box.arrow.dst, box.arrow.f
+            for p in P.elements:
+                for q in P.elements:
+                    assert f[P.add(p, q)] == T.add(f[p], f[q])
+                for r in P.ring.elements:
+                    assert f[P.smul(r, p)] == T.smul(r, f[p])
+            left, right = _block_arrows(a, b)
+            assert all(f[box.inc1(u)] == left[u] for u in box.T01.module.elements)
+            assert all(f[box.inc2(v)] == right[v] for v in box.T10.module.elements)
+    assert {k: len(v) for k, v in cases.items()} == {"z3": 19, "z4": 293, "f2x": 293, "z3, Z/3 -> Z/3": 9}
+
+
+def _closure_tensor(M, N):
+    """(names, label, act) of M (x)_R N by closing its relation vectors in
+    (Z/e)^(k*l) and numbering the cosets by their first vectors; act(r, v)
+    is r acting on the M side of each generator pair."""
+    k, l, e = len(M.gens), len(N.gens), math.gcd(M.exponent, N.exponent)
+    terms = [[(a * l + j, c) for a, c in enumerate(v)] for v in M.rels for j in range(l)]
+    terms += [[(i * l + b, c) for b, c in enumerate(v)] for v in N.rels for i in range(k)]
+    for r in M.ring.elements or ():
+        terms += [
+            [(a * l + j, c) for a, c in enumerate(M.scalar_gen_coords(r, i))]
+            + [(i * l + b, -c) for b, c in enumerate(N.scalar_gen_coords(r, j))]
+            for i in range(k)
+            for j in range(l)
+        ]
+
+    def vec(t):
+        v = [0] * (k * l)
+        for a, c in t:
+            v[a] += c
+        return tuple(c % e for c in v)
+
+    def add(x, y):
+        return tuple((a + b) % e for a, b in zip(x, y))
+
+    sub = _span(vec([]), [vec(t) for t in terms], add)
+    names, label = [], {}
+    for x in iproduct(range(e), repeat=k * l):
+        if x not in label:
+            label.update({add(x, s): len(names) for s in sub})
+            names.append(x)
+
+    def act(r, v):
+        return vec([
+            (a * l + j, c * ca)
+            for i in range(k)
+            for j in range(l)
+            for c in [v[i * l + j]]
+            for a, ca in enumerate(M.scalar_gen_coords(r, i))
+        ])
+
+    return names, label, act
+
+
+def _assert_tensor_is_the_closure(TT):
+    M, N, T = TT._M, TT._N, TT.module
+    names, label, act = _closure_tensor(M, N)
+    e = math.gcd(M.exponent, N.exponent)
+    assert T.names == tuple(names)
+    for x in T.elements:
+        assert T.sum[x] == [label[tuple((a + b) % e for a, b in zip(names[x], v))] for v in names]
+        assert T.orders[x] == min(o for o in range(1, e + 1) if not label[tuple(o * a % e for a in names[x])])
+        for r in M.ring.elements or ():
+            assert T.act[r][x] == label[act(r, names[x])]
+    for m in M.elements:
+        for n in N.elements:
+            cm, cn = M.coords[m], N.coords[n]
+            assert TT.pairing(m, n) == label[tuple(a * b % e for a in cm for b in cn)]
+
+
+def test_one_element_tables_match_the_generic_construction(monkeypatch):
+    # Every one-element tensor table and every box with two one-element
+    # blocks that a z2 audit builds, checked against the relation closure
+    # and against the direct-sum quotient.  The closure is first checked
+    # on every corpus pair, where it builds tables of up to 16 elements.
+    c = FiniteCorpus("z2", 16)
+    for M in c.modules:
+        for N in c.modules:
+            if len(M) * len(N) <= 16:
+                _assert_tensor_is_the_closure(TensorTable(M, N))
+    tensors, boxes = [], []
+    tensor_init, box_init = TensorTable.__init__, BoxTables.__init__
+
+    def record_tensor(self, M, N):
+        tensor_init(self, M, N)
+        if len(self.module) == 1:
+            tensors.append(self)
+
+    def record_box(self, a, b):
+        box_init(self, a, b)
+        if len(self.T01.module) == len(self.T10.module) == 1:
+            boxes.append(self)
+
+    monkeypatch.setattr(TensorTable, "__init__", record_tensor)
+    monkeypatch.setattr(BoxTables, "__init__", record_box)
+    assert check_monoidal_laws(c)["all_pass"]
+    monkeypatch.undo()
+    assert len(tensors) > 500 and len(boxes) > 300
+    # derived zero modules too: the kernel of an injective arrow is a
+    # one-element sub-table of a larger one
+    assert any(len(TT._M.names) > 1 for TT in tensors if len(TT._M) == 1)
+    assert any(len(box.a.src.names) > 1 for box in boxes if len(box.a.src) == 1)
+
+    for TT in tensors:
+        _assert_tensor_is_the_closure(TT)
+    for box in boxes:
+        a, b = box.a, box.b
+        M01, M10, M11 = box.T01.module, box.T10.module, box.T11.module
+        D, n = direct_sum_table(M01, M10), len(M10.names)
+        W = [
+            box.T01.pairing(gm, b.f[gn]) * n + M10.int_mul(-1, box.T10.pairing(a.f[gm], gn))
+            for gm in a.src.gens
+            for gn in b.src.gens
+        ]
+        Q, label = quotient_table(D, W)
+        P = box.P
+        assert (P.names, P.elements, P.orders, box.label) == (Q.names, Q.elements, Q.orders, label)
+        assert P.sum == Q.sum
+        for r in P.ring.elements:
+            assert P.act[r] == Q.act[r]
+        # the arrow is a (x) 1 on the T01 block plus 1 (x) b on the T10 block
+        left, right = _block_arrows(a, b)
+        assert box.arrow.src is P and box.arrow.dst is M11
+        assert box.arrow.f == {p: M11.add(left[D.names[p][0]], right[D.names[p][1]]) for p in Q.elements}
+
+
 # -- tensor and hom closed forms --------------------------------------
 
 
@@ -634,6 +786,9 @@ def test_tables_are_shared_only_within_one_audit(monkeypatch):
             cok_arrow(a) is cok_arrow(a) and ker_arrow(b) is ker_arrow(b),
             cok_arrow(cok_arrow(a)) is not cok_arrow(cok_arrow(a)),
             tensor_by_elements(a.src, b.src) is not tensor_by_elements(a.src, b.src),
+            oracle._box_tables(a, b) is oracle._box_tables(a, b),
+            oracle._box_tables(ker_arrow(a), b) is not oracle._box_tables(ker_arrow(a), b),
+            BoxTables(a, b) is not oracle._box_tables(a, b),
         ))
         return True
 
@@ -649,6 +804,39 @@ def test_tables_are_shared_only_within_one_audit(monkeypatch):
     assert enumerate_homs(M, N) is not enumerate_homs(M, N)
     a = all_table_arrows(c, 16)[3]
     assert cok_arrow(a) is not cok_arrow(a)
+    assert oracle._box_tables(a, a) is not oracle._box_tables(a, a)
+
+    # a law that raises still ends the audit
+    def broken(a, b):
+        raise RuntimeError("law fault")
+
+    monkeypatch.setitem(oracle._LAWS, "cok_monoidal", (broken, "pairs"))
+    with pytest.raises(RuntimeError, match="law fault"):
+        check_monoidal_laws(c, laws=("cok_monoidal",))
+    assert oracle._audit.get() is None
+
+
+def test_hom_count_in_an_audit_is_the_shared_list_length(monkeypatch):
+    # inside an audit hom_count of two corpus modules reads the shared
+    # list; it must still count every map the search finds
+    c = FiniteCorpus("z4", 8)
+    checked = []
+
+    def probe(a):
+        if not checked:
+            for M in c.modules:
+                for N in c.modules:
+                    assert hom_count(M, N) == sum(1 for _ in oracle._homs(M, N))
+                    assert hom_count(M, N) == len(enumerate_homs(M, N))
+                    checked.append((M, N))
+            # a derived module is not shared: it is counted by the search
+            K = ker_arrow(a).src
+            assert hom_count(K, a.dst) == sum(1 for _ in oracle._homs(K, a.dst))
+        return True
+
+    monkeypatch.setitem(oracle._LAWS, "triangle_identities", (probe, "singles"))
+    check_monoidal_laws(c, laws=("triangle_identities",))
+    assert len(checked) == len(c.modules) ** 2
 
 
 def test_law_subset_and_unknown_name():
@@ -673,6 +861,23 @@ def test_square_counts_match_adjunction():
             assert count_arrow_squares(cok_arrow(a), b) == count_arrow_squares(
                 a, ker_arrow(b)
             )
+
+
+def _nested_square_count(a, b):
+    """Every (top, bottom) pair, checked element by element."""
+    return sum(
+        all(b.f[t[x]] == bo[a.f[x]] for x in a.src.elements)
+        for t in enumerate_homs(a.src, b.src)
+        for bo in enumerate_homs(a.dst, b.dst)
+    )
+
+
+def test_square_counts_match_nested_loop():
+    pool = all_table_arrows(FiniteCorpus("z2", 4), 8)
+    arrows = pool + [ker_arrow(a) for a in pool] + [cok_arrow(a) for a in pool]
+    counts = [count_arrow_squares(a, b) for a in arrows for b in arrows]
+    assert counts == [_nested_square_count(a, b) for a in arrows for b in arrows]
+    assert len(counts) == 45**2 and max(counts) > 1
 
 
 # -- hom colimits -----------------------------------------------------
