@@ -16,15 +16,7 @@ by the image u_d^(2^(d-e)) of u_e.
 from __future__ import annotations
 
 from adic_smith.arrowcat import Arrow, embed, pushout_product
-from adic_smith.fpmod import (
-    FPMap,
-    FPModule,
-    base_change,
-    base_change_map,
-    quotient,
-    submodule,
-    tensor,
-)
+from adic_smith.fpmod import FPMap, FPModule, base_change, quotient, submodule
 from adic_smith.linalg import Matrix, hstack
 from adic_smith.rings import QuotientRing, SparsePolyRing, algebra_split
 from adic_smith.tower import SmithIdeal, identity_on_generators, tower_levels
@@ -113,16 +105,6 @@ def module_at_depth(ctx: AlmostContext, M: FPModule, d_from: int, d_to: int) -> 
     return base_change(M, alg, lambda p: R.stretch(p, s))
 
 
-def map_at_depth(ctx: AlmostContext, f: FPMap, d_from: int, d_to: int) -> FPMap:
-    if d_to == d_from:
-        return f
-    s = 2 ** (d_to - d_from)
-    R = ctx.ring(d_from)
-    src = module_at_depth(ctx, f.src, d_from, d_to)
-    dst = module_at_depth(ctx, f.dst, d_from, d_to)
-    return base_change_map(f, src, dst, lambda p: R.stretch(p, s))
-
-
 class AlmostModule:
     """A module pinned to its defining depth on the ladder."""
 
@@ -153,16 +135,6 @@ class DepthVerdict:
 
     def at(self, e: int):
         return self.entries[e]
-
-    def all_true(self, key=None) -> bool:
-        return all(
-            (v if key is None else v[key]) for v in self.entries.values()
-        )
-
-    def true_depths(self, key=None):
-        return sorted(
-            e for e, v in self.entries.items() if (v if key is None else v[key])
-        )
 
     def describe(self):
         return {
@@ -198,23 +170,6 @@ def almost_iso_to_depth(ctx: AlmostContext, f: FPMap, K: int) -> DepthVerdict:
         for e in range(K + 1)
     }
     return DepthVerdict("almost-iso", entries)
-
-
-def firmify(am: AlmostModule, d: int):
-    """(surrogate at depth d, mu) with surrogate = (u_d)(x)(u_d)(x)M
-    and mu the multiplication into M; mu multiplies by u_d^2."""
-    if d < am.depth:
-        raise ValueError("firmify needs a depth at or below the module on the ladder")
-    ctx = am.ctx
-    Md = am.at_depth(d)
-    R = ctx.ring(d)
-    V1 = FPModule.free(Md.algebra, 1)
-    Iu, _ = submodule(V1, Matrix(Md.base, [[ctx.u(d)]]))
-    mt = tensor(Iu, Iu)
-    T = tensor(mt, Md)
-    u2 = R.mul(ctx.u(d), ctx.u(d))
-    mu = FPMap(T, Md, Matrix.identity(Md.base, Md.ngens).map_entries(lambda p: R.mul(p, u2)))
-    return AlmostModule(ctx, d, T), mu
 
 
 class LevelDepthVerdict:

@@ -428,7 +428,7 @@ def cmd_almost(args, doc):
         am = AlmostModule(ctx, 0, FPModule(R0, 1))
     grid = almost_adic_check(ctx, ideal, am, args.levels, K)
 
-    v_mod_t = AlmostModule(ctx, 0, FPModule(R0, 1, [[t]]))
+    v_mod_t = AlmostModule(ctx, 0, FPModule.cyclic(R0, t))
     vz = almost_zero_to_depth(v_mod_t, K)
     v_not_almost_zero_at_1 = (K >= 1) and not vz.at(1)
 

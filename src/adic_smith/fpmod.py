@@ -25,7 +25,7 @@ multiply to the product of the invariant factors).  Injectivity,
 surjectivity and exactness test membership of kernel columns in a
 relation lattice, or of the target in the span of the image.
 The relation Smith form, built on first use, answers invariant
-factors, isomorphism type, ``minimal_decomposition`` and solves.
+factors, isomorphism type and solves.
 
 Kernel columns come from ``_projected_kernel``.  When the matrix has one
 row, as for a submodule of a one-generator module (every ideal, every
@@ -45,7 +45,6 @@ from adic_smith.linalg import (
     kron,
     matvec,
     smith_normal_form,
-    solve_linear,
     solve_matrix,
     vstack,
 )
@@ -121,9 +120,6 @@ class FPModule:
         v = [self.base.zero] * self.ngens
         v[i] = self.base.one
         return tuple(v)
-
-    def zero_vec(self):
-        return tuple([self.base.zero] * self.ngens)
 
     def coerce_vec(self, v):
         v = [self.base.coerce_payload(x) for x in v]
@@ -373,17 +369,6 @@ class FPMap:
     def is_iso(self) -> bool:
         return self.is_surjective() and self.is_injective()
 
-    def inverse(self) -> "FPMap":
-        big = hstack(self.mat, self.dst.rel)
-        X = _solve_top(big, Matrix.identity(self.dst.base, self.dst.ngens), self.src.ngens)
-        if X is None:
-            raise ValueError("map is not surjective")
-        inv = FPMap(self.dst, self.src, X)
-        if not (self * inv == FPMap.identity(self.dst) and inv * self == FPMap.identity(self.src)):
-            raise ValueError("map is not invertible")
-        return inv
-
-
 def _solve_top(A: Matrix, B: Matrix, top: int):
     """Solve A [x; w] = b per column of B; return the x-rows, or None."""
     X = solve_matrix(A, B)
@@ -488,24 +473,6 @@ def is_exact_pair(f: FPMap, g: FPMap) -> bool:
     return all(coker.is_zero_vec(c) for c in g._kernel_cols().cols())
 
 
-def direct_sum(M: FPModule, N: FPModule):
-    """(S, inc_M, inc_N, pr_M, pr_N)."""
-    if M.algebra != N.algebra:
-        raise ValueError("sum needs a common algebra")
-    base = M.base
-    rel = block_diag(base, [M.rel, N.rel])
-    S = FPModule(M.algebra, M.ngens + N.ngens, rel)
-    im = Matrix.identity(base, M.ngens)
-    im2 = Matrix.identity(base, N.ngens)
-    zmn = Matrix.zeros(base, M.ngens, N.ngens)
-    znm = Matrix.zeros(base, N.ngens, M.ngens)
-    inc_M = FPMap(M, S, vstack(im, znm), check=False)
-    inc_N = FPMap(N, S, vstack(zmn, im2), check=False)
-    pr_M = FPMap(S, M, hstack(im, zmn), check=False)
-    pr_N = FPMap(S, N, hstack(znm, im2), check=False)
-    return S, inc_M, inc_N, pr_M, pr_N
-
-
 def pushout(f: FPMap, g: FPMap):
     """(P, in_f, in_g) for the pushout of f: A -> B against g: A -> C.
 
@@ -522,16 +489,6 @@ def pushout(f: FPMap, g: FPMap):
     in_f = FPMap(B, P, vstack(Matrix.identity(base, B.ngens), zbc), check=False)
     in_g = FPMap(C, P, vstack(zcb, Matrix.identity(base, C.ngens)), check=False)
     return P, in_f, in_g
-
-
-def pullback(f: FPMap, g: FPMap):
-    """(P, pr_f, pr_g) for the pullback of f: B -> D against g: C -> D."""
-    if f.dst != g.dst:
-        raise ValueError("pullback needs a common target")
-    S, _, _, pB, pC = direct_sum(f.src, g.src)
-    h = FPMap(S, f.dst, hstack(f.mat, -g.mat), check=False)
-    P, incl = h.kernel()
-    return P, pB * incl, pC * incl
 
 
 # -- tensor -----------------------------------------------------------
@@ -574,7 +531,7 @@ def tensor_swap(M: FPModule, N: FPModule, src: FPModule | None = None, dst: FPMo
 
 
 class HomModule:
-    """Hom(M, N) as an FPModule, with translation to and from FPMaps.
+    """Hom(M, N) as an FPModule, with translation to FPMaps.
 
     A map is a (N.ngens x M.ngens) matrix X; its vectorization is
     vec(X)[j*N.ngens + i] = X[i][j].  Generators of ``module`` are the
@@ -582,7 +539,7 @@ class HomModule:
     map exactly when their difference lies in colspan(I tensor N.rel).
     """
 
-    __slots__ = ("src", "dst", "module", "G", "_coords_cert")
+    __slots__ = ("src", "dst", "module", "G")
 
     def __init__(self, M: FPModule, N: FPModule):
         if M.algebra != N.algebra:
@@ -598,7 +555,6 @@ class HomModule:
         self.dst = N
         self.module = FPModule(M.algebra, G.n, rel)
         self.G = G
-        self._coords_cert = None
 
     def to_map(self, coords) -> FPMap:
         v = matvec(self.G, self.module.coerce_vec(coords))
@@ -608,50 +564,6 @@ class HomModule:
         ]
         mat = Matrix(self.src.base, rows, shape=(gN, self.src.ngens))
         return FPMap(self.src, self.dst, mat, check=False)
-
-    def coords_of(self, f: FPMap):
-        if f.src != self.src or f.dst != self.dst:
-            raise ValueError("map does not belong to this hom module")
-        gN = self.dst.ngens
-        v = [
-            f.mat.rows[i][j]
-            for j in range(self.src.ngens)
-            for i in range(gN)
-        ]
-        T = kron(Matrix.identity(self.src.base, self.src.ngens), self.dst.rel)
-        sol = solve_linear(hstack(self.G, T), v)
-        if sol is None:
-            raise ValueError("map is not in the hom lattice")
-        return self.module.reduce_vec(sol[: self.G.n])
-
-
-def curry(f: FPMap, M: FPModule, N: FPModule, H: HomModule | None = None) -> FPMap:
-    """Hom(M tensor N, P) -> Hom(M, Hom(N, P)) on an explicit map f."""
-    if H is None:
-        H = HomModule(N, f.dst)
-    gN = N.ngens
-    cols = []
-    for i in range(M.ngens):
-        X = Matrix.from_cols(
-            M.base, [f.mat.col(i * gN + j) for j in range(gN)], f.dst.ngens
-        )
-        cols.append(H.coords_of(FPMap(N, f.dst, X)))
-    return FPMap(M, H.module, Matrix.from_cols(M.base, cols, H.module.ngens))
-
-
-def uncurry(g: FPMap, H: HomModule, src: FPModule | None = None) -> FPMap:
-    """Hom(M, Hom(N, P)) -> Hom(M tensor N, P); src defaults to tensor(M, N)."""
-    if g.dst != H.module:
-        raise ValueError("map does not land in the hom module")
-    M, N, P = g.src, H.src, H.dst
-    if src is None:
-        src = tensor(M, N)
-    cols = []
-    for i in range(M.ngens):
-        partial = H.to_map(g.mat.col(i))
-        for j in range(N.ngens):
-            cols.append(partial.mat.col(j))
-    return FPMap(src, P, Matrix.from_cols(M.base, cols, P.ngens))
 
 
 # -- base change ------------------------------------------------------
@@ -666,42 +578,7 @@ def base_change(M: FPModule, new_algebra: Ring, entry_map) -> FPModule:
     )
 
 
-def base_change_map(f: FPMap, src: FPModule, dst: FPModule, entry_map) -> FPMap:
-    return FPMap(src, dst, f.mat.map_entries(entry_map, src.base))
-
-
-# -- canonical decomposition ------------------------------------------
-
-
-def minimal_decomposition(M: FPModule):
-    """(Mmin, to, fro): Mmin has diagonal relations, one generator per
-    nonunit invariant factor plus one per free rank; to and fro are
-    mutually inverse isos built from the relation SNF certificate."""
-    cert = M.rel_cert()
-    base = M.base
-    diag = M.snf_diagonal()
-    keep = [
-        i
-        for i in range(cert.rank)
-        if not base.is_unit(diag[i])
-    ] + list(range(cert.rank, M.ngens))
-    torsion = [diag[i] for i in keep if i < cert.rank]
-    k = len(keep)
-    Mmin = FPModule(M.algebra, k, Matrix.diagonal(base, torsion, k, len(torsion)))
-    to_mat = Matrix(base, [cert.U.rows[i] for i in keep], shape=(k, M.ngens))
-    fro_mat = Matrix.from_cols(base, [cert.U_inv.col(i) for i in keep], M.ngens)
-    to = FPMap(M, Mmin, to_mat, check=False)
-    fro = FPMap(Mmin, M, fro_mat, check=False)
-    return Mmin, to, fro
-
-
-def find_iso(M: FPModule, N: FPModule):
-    """An explicit iso M -> N when the structures agree, else None."""
-    if M.algebra != N.algebra or M.structure() != N.structure():
-        return None
-    _, toM, _ = minimal_decomposition(M)
-    _, _, froN = minimal_decomposition(N)
-    return FPMap(M, N, froN.mat * toM.mat, check=False)
+# -- isomorphism type -------------------------------------------------
 
 
 def are_isomorphic(M: FPModule, N: FPModule) -> bool:

@@ -6,8 +6,7 @@ it returns U, V, their tracked inverses, and the diagonal D with
     U * A * V = D,    d_1 | d_2 | ... ,   d_i canonical associates.
 
 Unimodularity is certified by the carried inverses (U * U_inv = I is an
-exact identity, checked in tests), plus an independent fraction-free
-determinant.  ``solve_linear`` and ``kernel_basis`` are derived from the
+exact identity, checked in tests).  ``solve_linear`` and ``kernel_basis`` are derived from the
 certificate; both are verified by substitution wherever they are used.
 
 Matrices store ring payloads row-major, and those payloads must already
@@ -81,13 +80,6 @@ class Matrix:
     def is_zero(self) -> bool:
         z = self.ring.zero
         return all(x == z for r in self.rows for x in r)
-
-    def map_entries(self, func, ring: Ring | None = None) -> "Matrix":
-        return Matrix(
-            self.ring if ring is None else ring,
-            [[func(x) for x in r] for r in self.rows],
-            shape=(self.m, self.n),
-        )
 
     def __eq__(self, other):
         return (
@@ -462,38 +454,6 @@ def kernel_basis(A: Matrix, cert: SNFCertificate | None = None) -> Matrix:
         cert = smith_normal_form(A)
     cols = [cert.V.col(j) for j in range(cert.rank, A.n)]
     return Matrix.from_cols(A.ring, cols, A.n)
-
-
-def det(A: Matrix):
-    """Fraction-free (Bareiss) determinant; exact over any of our domains."""
-    if A.m != A.n:
-        raise ValueError("determinant of a nonsquare matrix")
-    ring = A.ring
-    n = A.n
-    if n == 0:
-        return ring.one
-    zero = ring.zero
-    M = [list(r) for r in A.rows]
-    sign = ring.one
-    prev = ring.one
-    for k in range(n - 1):
-        if M[k][k] == zero:
-            for i in range(k + 1, n):
-                if M[i][k] != zero:
-                    M[k], M[i] = M[i], M[k]
-                    sign = ring.neg(sign)
-                    break
-            else:
-                return zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = ring.sub(
-                    ring.mul(M[i][j], M[k][k]), ring.mul(M[i][k], M[k][j])
-                )
-                M[i][j] = ring.exact_div(num, prev)
-            M[i][k] = zero
-        prev = M[k][k]
-    return ring.mul(sign, M[n - 1][n - 1])
 
 
 def column_hermite(A: Matrix):

@@ -81,16 +81,6 @@ class MonomialLocalRing:
     def is_unit_ideal(self) -> bool:
         return any(sum(g) == 0 for g in self.gens)
 
-    def contains(self, m) -> bool:
-        return any(all(map(le, g, m)) for g in self.gens)
-
-    def power_gens(self, n: int):
-        """Minimal generators of I^n; I^0 is the unit ideal."""
-        p = [(0,) * self.r]
-        for _ in range(n):
-            p = self.times_ideal(p)
-        return p
-
     def times_ideal(self, gens):
         """Minimal generators of the product of (gens) with I."""
         return minimalize(tuple(map(add, a, g)) for a in gens for g in self.gens)
@@ -141,19 +131,6 @@ def _order_walk(Rm: MonomialLocalRing, N: int):
                 nxt += [(c[:k] + (c[k] + 1,) + c[k + 1:], k) for k in range(j, r)]
         layer, degree = nxt, degree + 1
     return order
-
-
-def quotient_basis(Rm: MonomialLocalRing, n: int):
-    """Standard-monomial basis of A/I^{n+1}, deg-lex sorted."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    return list(_order_walk(Rm, n))
-
-
-def hilbert_graded_dims(Rm: MonomialLocalRing, N: int):
-    """dim_k(I^n/I^{n+1}) for n = 0..N: the monomials of order n."""
-    graded = Counter(_order_walk(Rm, N).values()) if N >= 0 else {}
-    return [graded[n] for n in range(N + 1)]
 
 
 def transition_is_epi(lower_basis, upper_basis) -> bool:

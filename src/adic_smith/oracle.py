@@ -186,17 +186,11 @@ class TableModule:
     def add(self, x, y):
         return self.sum[x][y]
 
-    def smul(self, r, x):
-        return self.act[r][x]
-
     def int_mul(self, k: int, x):
         row, y = self.sum[x], self.zero
         for _ in range(k % self.orders[x]):
             y = row[y]
         return y
-
-    def order_of(self, x) -> int:
-        return self.orders[x]
 
     def combine(self, vec, images):
         """sum of vec[i] * images[i]; images under a zero coefficient
@@ -348,10 +342,6 @@ def product_module(ring: TableRing, factors) -> TableModule:
 
 def zero_table_module(ring: TableRing) -> TableModule:
     return product_module(ring, [])
-
-
-def cyclic_table_module(ring: TableRing, d: int) -> TableModule:
-    return product_module(ring, [_cyclic_factor(ring, d)])
 
 
 class FiniteCorpus:
@@ -1139,45 +1129,3 @@ def _audit_laws(corpus, shared, selected, pair_bound, triple_bound):
     report["all_pass"] = all(not v["failures"] for v in report["laws"].values())
     return report
 
-
-# -- hom colimit -----------------------------------------------------
-
-
-def hom_colimit_check(C: TableModule, chain):
-    """For a finite chain of monos, is colim Hom(C, M_i) -> Hom(C, last)
-    a bijection?  The colimit of the finite chain is its last term, so
-    the content is that the union of the postcomposition images fills
-    the whole hom set, with each stage mapping in injectively."""
-    if not chain:
-        raise ValueError("need a nonempty chain")
-    for i, f in enumerate(chain):
-        if not f.is_injective():
-            raise ValueError(f"chain map {i} is not mono")
-        if i and chain[i - 1].dst is not f.src:
-            raise ValueError("chain does not compose")
-    last = chain[-1].dst
-    to_last = [None] * (len(chain) + 1)
-    acc = identity_map(last)
-    to_last[len(chain)] = acc
-    for i in range(len(chain) - 1, -1, -1):
-        acc = compose_tables(acc, chain[i].f)
-        to_last[i] = acc
-    stages = [chain[0].src] + [f.dst for f in chain]
-    union = set()
-    stage_counts = []
-    injective = True
-    for i, S in enumerate(stages):
-        homs = enumerate_homs(C, S)
-        imgs = {tuple(sorted(compose_tables(to_last[i], h).items())) for h in homs}
-        if len(imgs) != len(homs):
-            injective = False
-        stage_counts.append({"stage": i, "hom_count": len(homs), "image_count": len(imgs)})
-        union |= imgs
-    total = hom_count(C, last)
-    return {
-        "stages": stage_counts,
-        "colimit_hom_count": len(union),
-        "hom_into_colimit": total,
-        "injective_transitions": injective,
-        "bijective": injective and len(union) == total,
-    }

@@ -1,11 +1,10 @@
 """Ideal inclusions, their truncation towers, and completion checks.
 
 A :class:`SmithIdeal` is an algebra A = R/(f) together with chosen ideal
-generators; it derives the inclusion arrow j: I -> A, the multiplication
-maps mu_n: I^(tensor n) -> I, and ideal powers I^n (spanned by all
-n-fold generator products).  The ambient may itself carry an extra
-principal relation, so truncations A/I^{N+1} stay inside the same class
-and towers can be re-truncated.
+generators; it derives the inclusion arrow j: I -> A and the ideal
+powers I^n (spanned by all n-fold generator products).  The ambient
+may itself carry an extra principal relation, so truncations A/I^{N+1}
+stay inside the same class and towers can be re-truncated.
 
 Level n of the tower is the arrow I/I^{n+1} -> A/I^{n+1}; transitions
 are the canonical surjections, and every structural claim (transitions
@@ -19,8 +18,8 @@ m <= n the product over c is the product over c[:m] times the product
 over c[m:].  So ``SmithIdeal.product_coords(m, n)`` gives each n-fold
 product one coordinate in the m-fold ones, and a single multiply-out
 against the products themselves certifies the whole matrix.  Truncation
-(m = 1), graded pieces (n against n+1), route (c) of the power
-comparison and mu_n all take their coordinates from it.
+(m = 1), graded pieces (n against n+1) and route (c) of the power
+comparison all take their coordinates from it.
 
 Each product is computed once per ideal.  The ideal keeps one table
 per degree, {sorted multiset c: reduced product over c}, built on first
@@ -38,10 +37,7 @@ A module map is zero exactly when it kills every generator, and the
 generators of the tensor power go to the (n+1)-fold generator products,
 which in a commutative ring depend only on the multiset of factors.  So
 the check runs on the C(k+n, n+1) columns of ``product_coords(1, n+1)``,
-never on the k^(n+1)-generator tensor power.  ``SmithIdeal.mu``,
-``tensor_power_of_ideal`` and ``is_nilpotent`` are kept as library API
-for the paper's mu_n and its nilpotence predicate; no command builds a
-tensor power.
+never on the k^(n+1)-generator tensor power, which nothing builds.
 
 Each command builds every level it reads once and hands it on.  A
 :class:`Tower` holds levels 0..N with their transitions, and
@@ -58,14 +54,11 @@ level-indexed verdict obtained by re-truncating the level-N data.
 
 from __future__ import annotations
 
-from itertools import product
-
 from adic_smith.arrowcat import (
     Arrow,
     ArrowMap,
     box_arrow_maps,
     embed,
-    ker_arrow_map,
     pushout_product,
 )
 from adic_smith.fpmod import (
@@ -122,11 +115,7 @@ class SmithIdeal:
     def j(self) -> Arrow:
         return Arrow(self.incl)
 
-    def ambient_relation(self):
-        """The single canonical relation h with ambient = A/(h), or None."""
-        return self.ambient.rel.rows[0][0] if self.ambient.rel.n else None
-
-    # -- powers and multiplication ------------------------------------
+    # -- powers -------------------------------------------------------
     def _product_table(self, n: int):
         """{sorted index multiset c: reduced product over c} for |c| = n,
         in the order of the sorted multisets.  Degree n is built once,
@@ -180,32 +169,6 @@ class SmithIdeal:
         """(I^n as a submodule of the ambient, inclusion)."""
         prods = self.power_products(n)
         return submodule(self.ambient, Matrix(self.base, [prods], shape=(1, len(prods))))
-
-    def tensor_power_of_ideal(self, n: int) -> FPModule:
-        T = self.I
-        for _ in range(n - 1):
-            T = tensor(T, self.I)
-        return T
-
-    def mu(self, n: int) -> FPMap:
-        """Multiplication I^(tensor n) -> I on generator products."""
-        if n < 1:
-            raise ValueError("mu needs n >= 1")
-        k = len(self.gens)
-        X = self.product_coords(1, n)
-        col = {c: j for j, c in enumerate(self._product_table(n))}
-        # Tensor generator (t_1, ..., t_n) sits at flat index
-        # sum t_i k^(n-i), the order of itertools.product.
-        cols = [X.col(col[tuple(sorted(t))]) for t in product(range(k), repeat=n)]
-        return FPMap(self.tensor_power_of_ideal(n), self.I, Matrix.from_cols(self.base, cols, k))
-
-    def is_nilpotent(self, n: int) -> bool:
-        """Literal degree-n predicate: mu_n is onto (its cokernel is 0)."""
-        return self.mu(n).is_surjective()
-
-    def power_vanishes(self, n: int) -> bool:
-        """The distinct predicate I^n = 0; never conflated with the above."""
-        return self.power(n)[0].is_zero_module()
 
     def __repr__(self):
         gs = ", ".join(self.base.format_elem(g) for g in self.gens)
@@ -392,14 +355,6 @@ class GradedPiece:
             "kernel_shape": self.kernel_shape,
             "kernel_matches_graded": self.kernel_matches_graded,
         }
-
-
-def ker_tower_kernel_is_shifted_embed(tower: Tower, n: int) -> bool:
-    """After the kernel functor, the transition kernel becomes the
-    (0 -> graded piece) embed: certified for 1 <= n <= tower.N."""
-    k, _ = ker_arrow_map(tower.transitions[n]).kernel()
-    gr = GradedPiece(tower, n).module
-    return k.dom.is_zero_module() and are_isomorphic(k.cod, gr)
 
 
 # -- towers of modules ------------------------------------------------

@@ -1,9 +1,9 @@
-"""Gate suite: ten end-to-end checks, one verdict line each.
+"""Gate suite: eleven end-to-end checks, one verdict line each.
 
 Every check recomputes its expected values through an independent
 route (closed forms, element tables, or the CLI as a black box) and
 prints ``[criterion NN] PASS/FAIL`` with a short summary, so a full
-run reads as a ten-line report.  Values that look like magic numbers
+run reads as an eleven-line report.  Values that look like magic numbers
 (tuple counts, obstruction factor lists) were derived once from the
 table oracles and are frozen here on purpose: a change in any engine
 that shifts them should fail loudly.
@@ -23,16 +23,42 @@ from adic_smith.almost import (
     almost_zero_to_depth,
 )
 from adic_smith import tower as tower_module
+from adic_smith.arrowcat import (
+    Arrow,
+    adjoint_transpose,
+    adjoint_transpose_back,
+    adjunction_counit,
+    adjunction_unit,
+    all_arrow_maps,
+    box_assoc,
+    box_symmetry,
+    box_unit_arrow,
+    cok_box_comparison,
+    cok_functor,
+    ker_functor,
+    ker_lax_comparison,
+    pushout_product,
+    tensor_arrows,
+    tensor_arrows_assoc,
+    tensor_arrows_symmetry,
+    tensor_unit_arrow,
+)
 from adic_smith.cli import main as cli_main
-from adic_smith.fpmod import FPModule, HomModule, tensor
+from adic_smith.fpmod import FPMap, FPModule, HomModule, tensor
 from adic_smith.linalg import Matrix, kernel_basis, matvec, smith_normal_form, solve_linear
 from adic_smith.monomial import MonomialLocalRing, monomial_tower, parse_monomial
 from adic_smith.oracle import (
+    BoxTables,
     FiniteCorpus,
+    all_table_arrows,
     check_monoidal_laws,
+    cok_arrow,
+    cokernel_table,
+    count_arrow_squares,
     hom_candidates,
     hom_count,
     hom_torsion_structure,
+    kernel_table,
     tensor_by_elements,
 )
 from adic_smith.rings import GF, QQ, IntegerRing, PolyRing
@@ -429,3 +455,106 @@ def test_criterion_10_cli_contract(tmp_path, monkeypatch):
         rep = json.loads(out)
         ok &= json.dumps(rep, sort_keys=True, indent=2) + "\n" == out
     _verdict(10, "byte-identical reruns, honest exit matrix, internal faults apart, JSON round-trips", ok)
+
+
+# -- 11: the engine's arrow category against the oracle's tables ------
+
+
+# (zero, one) of a corpus factor's names: 0 and 1, except the regular
+# F_2[x]/(x^2)-module R, whose names are the pairs (a, b) for a + b*x
+_FACTOR_UNITS = {"R": ((0, 0), (1, 0))}
+
+
+def _unit_name(lab, i):
+    """The name of the i-th unit tuple of the corpus module ``lab``."""
+    units = [_FACTOR_UNITS.get(p, (0, 1)) for p in lab.split("+")]
+    return tuple(one if j == i else zero for j, (zero, one) in enumerate(units))
+
+
+def _engine_arrow(a, labels, engines):
+    """The table arrow a as an engine arrow: column i is the table image
+    of the i-th unit tuple, whose name lists its engine coordinates."""
+    la, lb = labels[id(a.src)], labels[id(a.dst)]
+    src, dst = engines[la], engines[lb]
+    index = {name: x for x, name in enumerate(a.src.names)}
+    cols = [a.dst.names[a.f[index[_unit_name(la, i)]]] for i in range(src.ngens)]
+    return Arrow(FPMap(src, dst, [[c[r] for c in cols] for r in range(dst.ngens)]))
+
+
+def _holds(check):
+    """check() is true; a structure map that cannot be built (a failed
+    factorization, an ill-defined or non-commuting square) is false."""
+    try:
+        return bool(check())
+    except (ValueError, AttributeError):
+        return False
+
+
+def _is_epi_table(a):
+    return len(set(a.f.values())) == len(a.dst)
+
+
+def _arrow_factors(addfac, e):
+    return addfac(e.dom), addfac(e.cod)
+
+
+def test_criterion_11_arrow_category_against_tables():
+    mismatches = 0
+    counts = {"pairs": 0, "triples": 0, "singles": 0, "hom_pairs": 0}
+    corpora = (("z4", _engine_z4, _additive_factors_z4, ZZ), ("f2x", _engine_f2x, _additive_factors_f2x, F2x))
+    for name, eng, addfac, base in corpora:
+        corpus = FiniteCorpus(name, 16)
+        engines = {lab: eng(lab) for lab in corpus.labels}
+        labels = {id(M): lab for lab, M in zip(corpus.labels, corpus.modules)}
+        pool = all_table_arrows(corpus, 16)
+        arrows = [_engine_arrow(a, labels, engines) for a in pool]
+        orders = [a.order() for a in pool]
+        tensor_unit, box_unit = tensor_unit_arrow(base), box_unit_arrow(base)
+
+        for a, e in zip(pool, arrows):
+            counts["singles"] += 1
+            mismatches += _holds(lambda: adjunction_unit(e).is_iso()) != a.is_injective()
+            mismatches += _holds(lambda: adjunction_counit(e).is_iso()) != _is_epi_table(a)
+            mismatches += ker_functor(e).dom.element_count() != len(kernel_table(a))
+            mismatches += cok_functor(e).cod.element_count() != len(cokernel_table(a)[0])
+            own = _arrow_factors(addfac, e)
+            mismatches += _arrow_factors(addfac, tensor_arrows(e, tensor_unit)) != own
+            mismatches += _arrow_factors(addfac, pushout_product(e, box_unit)) != own
+
+        for a, ea, oa in zip(pool, arrows, orders):
+            for b, eb, ob in zip(pool, arrows, orders):
+                if oa * ob > 16:
+                    continue
+                counts["pairs"] += 1
+                box = BoxTables(a, b)
+                mismatches += _arrow_factors(addfac, pushout_product(ea, eb)) != (
+                    box.P.invariant_factor_orders(),
+                    box.T11.module.invariant_factor_orders(),
+                )
+                for structure in (box_symmetry, tensor_arrows_symmetry, cok_box_comparison):
+                    mismatches += not _holds(lambda: structure(ea, eb).is_iso())
+                mismatches += not _holds(lambda: ker_lax_comparison(ea, eb).top is not None)
+
+                if oa * ob <= 8:
+                    counts["hom_pairs"] += 1
+                    squares = all_arrow_maps(cok_functor(ea), eb)
+                    want = count_arrow_squares(cok_arrow(a), b)
+                    mismatches += len(squares) != want
+                    mismatches += len(all_arrow_maps(ea, ker_functor(eb))) != want
+                    for phi in squares:
+                        back = lambda: adjoint_transpose_back(adjoint_transpose(phi, ea, eb), ea, eb) == phi
+                        mismatches += not _holds(back)
+
+                for c, ec, oc in zip(pool, arrows, orders):
+                    if oa * ob * oc > 8:
+                        continue
+                    counts["triples"] += 1
+                    for structure in (box_assoc, tensor_arrows_assoc):
+                        mismatches += not _holds(lambda: structure(ea, eb, ec).is_iso())
+    ok = mismatches == 0 and counts == {"pairs": 586, "triples": 330, "singles": 166, "hom_pairs": 154}
+    _verdict(
+        11,
+        f"box, tensor, cok and ker on {counts['pairs']} arrow pairs, {counts['triples']} triples "
+        f"and {counts['singles']} arrows of z4 and f2x, {mismatches} mismatches",
+        ok,
+    )

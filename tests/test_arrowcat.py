@@ -86,7 +86,7 @@ def test_tensor_arrows_componentwise():
     assert t.dom.structure() == (0, (2,))
     assert t.cod.structure() == (0, (4,))
     # 1 tensor 1 goes to 2 tensor 2 = 4 . (1 tensor 1) = 0
-    assert t.f(t.dom.gen(0)) == t.cod.zero_vec()
+    assert t.f(t.dom.gen(0)) == (0,)
 
 
 def test_pushout_product_frozen_small():

@@ -15,7 +15,6 @@ from adic_smith.linalg import (
     Matrix,
     block_diag,
     column_hermite,
-    det,
     hstack,
     kernel_basis,
     kron,
@@ -132,23 +131,6 @@ def test_kernel_completeness_small():
     for s in sols:
         got = solve_matrix(K, Matrix.from_cols(ZZ, [s], 3))
         assert got is not None
-
-
-def test_det_matches_cofactor_expansion(rng):
-    def cofactor(rows):
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        total = 0
-        for j in range(n):
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            total += (-1) ** j * rows[0][j] * cofactor(minor)
-        return total
-
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert det(Matrix(ZZ, rows)) == cofactor(rows)
 
 
 def test_column_hermite_preserves_column_span(rng):

@@ -35,18 +35,22 @@ from adic_smith.oracle import (
     cokernel_table,
     corpus_ring,
     count_arrow_squares,
-    cyclic_table_module,
     enumerate_homs,
     hom_candidates,
-    hom_colimit_check,
     hom_count,
     hom_torsion_structure,
     ker_arrow,
     kernel_table,
+    product_module,
     quotient_table,
     sub_table,
     tensor_by_elements,
 )
+
+
+def cyclic_table(ring, d):
+    """Z/d as a one-factor product table over ``ring``."""
+    return product_module(ring, [oracle._cyclic_factor(ring, d)])
 
 
 def el(M, label):
@@ -222,17 +226,17 @@ def test_walk_relation_when_a_multiple_lands_in_the_span():
 
 
 def test_order_of():
-    A4 = cyclic_table_module(corpus_ring("z4"), 4)
-    assert A4.order_of(el(A4, (1,))) == 4
-    assert A4.order_of(el(A4, (2,))) == 2
-    assert A4.order_of(A4.zero) == 1
+    A4 = cyclic_table(corpus_ring("z4"), 4)
+    assert A4.orders[el(A4, (1,))] == 4
+    assert A4.orders[el(A4, (2,))] == 2
+    assert A4.orders[A4.zero] == 1
 
 
 # -- subgroup and quotient tables -------------------------------------
 
 
 def test_sub_and_quotient_tables():
-    A4 = cyclic_table_module(corpus_ring("z4"), 4)
+    A4 = cyclic_table(corpus_ring("z4"), 4)
     S = sub_table(A4, [el(A4, (0,)), el(A4, (2,))])
     assert S.invariant_factor_orders() == [2]
     Q, label = quotient_table(A4, [el(A4, (2,))])
@@ -245,7 +249,7 @@ def test_sub_and_quotient_tables():
 
 
 def test_direct_sum_table():
-    A4 = cyclic_table_module(corpus_ring("z4"), 4)
+    A4 = cyclic_table(corpus_ring("z4"), 4)
     D = direct_sum_table(A4, A4)
     assert len(D) == 16
     assert sorted(D.invariant_factor_orders()) == [4, 4]
@@ -306,7 +310,7 @@ def _span(zero, seeds, add):
 def test_index_tables_match_arithmetic_on_names(case):
     M, add, smul = case
     for x in M.elements:
-        assert M.order_of(x) == min(
+        assert M.orders[x] == min(
             o for o in range(1, len(M) + 1) if M.names[M.int_mul(o, x)] == M.names[M.zero]
         )
         for y in M.elements:
@@ -334,13 +338,13 @@ def test_sub_and_quotient_tables_are_closed(case, data):
             for y in T.elements:
                 assert T.add(x, y) in T.elements
             for r in M.ring.elements or ():
-                assert T.smul(r, x) in T.elements
+                assert T.act[r][x] in T.elements
     for x in M.elements:
         assert proj[x] in Q.elements
         for y in M.elements:
             assert proj[M.add(x, y)] == Q.add(proj[x], proj[y])
         for r in M.ring.elements or ():
-            assert proj[M.smul(r, x)] == Q.smul(r, proj[x])
+            assert proj[M.act[r][x]] == Q.act[r][proj[x]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,7 +363,7 @@ def test_tensor_pairing_bilinear_and_balanced(case):
             for yy in N.elements:
                 assert TT.pairing(x, N.add(y, yy)) == T.add(p, TT.pairing(x, yy))
             for r in M.ring.elements or ():
-                assert TT.pairing(M.smul(r, x), y) == TT.pairing(x, N.smul(r, y)) == T.smul(r, p)
+                assert TT.pairing(M.act[r][x], y) == TT.pairing(x, N.act[r][y]) == T.act[r][p]
 
 
 def _arrow(data, M, N):
@@ -389,7 +393,7 @@ def test_box_quotient_is_the_direct_sum_quotient(ring_name, data):
         for q in Q.elements:
             assert Q.add(p, q) == box.P.add(p, q)
         for r in M01.ring.elements or ():
-            assert Q.smul(r, p) == box.P.smul(r, p)
+            assert Q.act[r][p] == box.P.act[r][p]
 
 
 def _block_arrows(a, b):
@@ -422,7 +426,7 @@ def test_box_arrow_is_a_module_map():
                 for q in P.elements:
                     assert f[P.add(p, q)] == T.add(f[p], f[q])
                 for r in P.ring.elements:
-                    assert f[P.smul(r, p)] == T.smul(r, f[p])
+                    assert f[P.act[r][p]] == T.act[r][f[p]]
             left, right = _block_arrows(a, b)
             assert all(f[box.inc1(u)] == left[u] for u in box.T01.module.elements)
             assert all(f[box.inc2(v)] == right[v] for v in box.T10.module.elements)
@@ -550,14 +554,14 @@ def test_one_element_tables_match_the_generic_construction(monkeypatch):
 @pytest.mark.parametrize("a,b,g", [(2, 2, 2), (2, 4, 2), (4, 4, 4), (1, 4, 1)])
 def test_tensor_matches_gcd(a, b, g):
     r = corpus_ring("z4")
-    T = tensor_by_elements(cyclic_table_module(r, a), cyclic_table_module(r, b))
+    T = tensor_by_elements(cyclic_table(r, a), cyclic_table(r, b))
     assert len(T) == g
     assert T.invariant_factor_orders() == ([g] if g > 1 else [])
 
 
 def test_tensor_pairing_bilinear():
     r = corpus_ring("z4")
-    A2, A4 = cyclic_table_module(r, 2), cyclic_table_module(r, 4)
+    A2, A4 = cyclic_table(r, 2), cyclic_table(r, 4)
     TT = TensorTable(A2, A4)
     T = TT.module
     for x in A2.elements:
@@ -567,7 +571,7 @@ def test_tensor_pairing_bilinear():
                 rhs = T.add(TT.pairing(x, y), TT.pairing(xx, y))
                 assert lhs == rhs
     # the image of generator x generator generates
-    assert T.order_of(TT.pairing(el(A2, (1,)), el(A4, (1,)))) == len(T)
+    assert T.orders[TT.pairing(el(A2, (1,)), el(A4, (1,)))] == len(T)
 
 
 def test_tensor_table_is_deterministic():
@@ -593,9 +597,9 @@ def test_tensor_table_is_deterministic():
 @pytest.mark.parametrize("a,b,g", [(2, 4, 2), (4, 2, 2), (4, 4, 4), (2, 2, 2)])
 def test_hom_count_matches_gcd(a, b, g):
     r = corpus_ring("z4")
-    assert hom_count(cyclic_table_module(r, a), cyclic_table_module(r, b)) == g
+    assert hom_count(cyclic_table(r, a), cyclic_table(r, b)) == g
     Z = corpus_ring("zz")
-    assert hom_count(cyclic_table_module(Z, a), cyclic_table_module(Z, b)) == g
+    assert hom_count(cyclic_table(Z, a), cyclic_table(Z, b)) == g
 
 
 # -- the hom search against the literal reference ---------------------
@@ -610,7 +614,7 @@ def _reference_homs(M, N):
         ok = all(N.combine(v, ys) == N.zero for v in rels)
         if not M.ring.is_integers:
             ok = ok and all(
-                N.smul(r, ys[i]) == N.combine(M.scalar_gen_coords(r, i), ys)
+                N.act[r][ys[i]] == N.combine(M.scalar_gen_coords(r, i), ys)
                 for r in M.ring.elements
                 for i in range(len(M.gens))
             )
@@ -878,55 +882,6 @@ def test_square_counts_match_nested_loop():
     counts = [count_arrow_squares(a, b) for a in arrows for b in arrows]
     assert counts == [_nested_square_count(a, b) for a in arrows for b in arrows]
     assert len(counts) == 45**2 and max(counts) > 1
-
-
-# -- hom colimits -----------------------------------------------------
-
-
-def _mono_chain():
-    Z = corpus_ring("zz")
-    M2 = cyclic_table_module(Z, 2)
-    M4 = cyclic_table_module(Z, 4)
-    M8 = cyclic_table_module(Z, 8)
-    return (
-        M2,
-        M4,
-        [
-            TableArrow(M2, M4, {el(M2, (0,)): el(M4, (0,)), el(M2, (1,)): el(M4, (2,))}),
-            TableArrow(M4, M8, {el(M4, (k,)): el(M8, (2 * k,)) for k in range(4)}),
-        ],
-    )
-
-
-def test_hom_colimit_bijective():
-    M2, M4, chain = _mono_chain()
-    rep = hom_colimit_check(M4, chain)
-    assert [(s["hom_count"], s["image_count"]) for s in rep["stages"]] == [
-        (2, 2),
-        (4, 4),
-        (4, 4),
-    ]
-    assert rep["colimit_hom_count"] == 4
-    assert rep["hom_into_colimit"] == 4
-    assert rep["injective_transitions"] and rep["bijective"]
-
-    rep2 = hom_colimit_check(M2, chain)
-    assert rep2["bijective"] and rep2["colimit_hom_count"] == 2
-
-
-def test_hom_colimit_rejects_bad_chains():
-    M2, M4, chain = _mono_chain()
-    not_mono = TableArrow(M4, M2, {el(M4, (k,)): el(M2, (k % 2,)) for k in range(4)})
-    with pytest.raises(ValueError, match="mono"):
-        hom_colimit_check(M2, [not_mono])
-    # equal shape is not enough, the chain must share its endpoints
-    Z = corpus_ring("zz")
-    fresh = cyclic_table_module(Z, 4)
-    broken = [chain[0], TableArrow(fresh, chain[1].dst, chain[1].f)]
-    with pytest.raises(ValueError, match="compose"):
-        hom_colimit_check(M2, broken)
-    with pytest.raises(ValueError, match="nonempty"):
-        hom_colimit_check(M2, [])
 
 
 ENGINE_MODULES = ("adic_smith.linalg", "adic_smith.fpmod", "adic_smith.tower", "adic_smith.arrowcat")
