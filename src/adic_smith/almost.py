@@ -56,10 +56,6 @@ class AlmostContext:
             self._rings[d] = SparsePolyRing(self.field, "t" if d == 0 else f"u{d}")
         return self._rings[d]
 
-    def u(self, d: int):
-        """The depth-d uniformizer payload, u_d = t^(1/2^d)."""
-        return self.ring(d).gen
-
     def lift(self, payload, d_from: int, d_to: int):
         """Image of a depth-d_from element at depth d_to >= d_from."""
         if d_to < d_from:

@@ -56,12 +56,6 @@ class Arrow:
     def algebra(self):
         return self.f.src.algebra
 
-    def is_mono(self) -> bool:
-        return self.f.is_injective()
-
-    def is_epi(self) -> bool:
-        return self.f.is_surjective()
-
     def __eq__(self, other):
         return isinstance(other, Arrow) and other.f == self.f
 
@@ -141,14 +135,6 @@ class ArrowMap:
         induced = factor_through(self.source.f * it, ib)
         k = Arrow(induced)
         return k, ArrowMap(k, self.source, it, ib, check=False)
-
-    def cokernel(self):
-        """(c: Arrow, proj: ArrowMap target -> c), componentwise cokernels."""
-        Ct, pt = self.top.cokernel()
-        Cb, pb = self.bottom.cokernel()
-        induced = FPMap(Ct, Cb, (pb * self.target.f).mat)
-        c = Arrow(induced)
-        return c, ArrowMap(self.target, c, pt, pb, check=False)
 
 
 # -- embeddings of modules as arrows ----------------------------------

@@ -8,8 +8,10 @@ Grammar (whitespace-insensitive)::
     atom   := INT | NAME | '(' expr ')'
 
 NAME must be the ring's variable; '/' is exact division (so "1/2" is a
-rational constant in Q[x] and an error in Z).  Evaluation happens during
-parsing, directly on ring payloads.
+rational constant in Q[x] and an error in Z).  In a quotient R/(f) it
+gives the least solution of b*x = a (``QuotientRing.exact_div``), so
+"4/4" is 1 in Z/(6), though 4 is not a unit there.  Evaluation happens
+during parsing, directly on ring payloads.
 """
 
 from __future__ import annotations

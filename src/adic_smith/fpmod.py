@@ -1,7 +1,7 @@
 """Finitely presented modules over the package algebras, with exact maps.
 
 An algebra A is R/(f) for a Euclidean base R (Z or k[x]); ``algebra_split``
-also accepts R itself (no modulus) and Z/n (as Z/(n)).  A module is kept
+also accepts R itself (no modulus).  A module is kept
 as an R-presentation
 
     M = R^g / colspan(rel),    rel an (g x r) matrix over R,
@@ -311,21 +311,6 @@ class FPMap:
             return NotImplemented
         return self.compose(other)
 
-    def __add__(self, other: "FPMap") -> "FPMap":
-        self._check_parallel(other)
-        return FPMap(self.src, self.dst, self.mat + other.mat, check=False)
-
-    def __sub__(self, other: "FPMap") -> "FPMap":
-        self._check_parallel(other)
-        return FPMap(self.src, self.dst, self.mat - other.mat, check=False)
-
-    def __neg__(self) -> "FPMap":
-        return FPMap(self.src, self.dst, -self.mat, check=False)
-
-    def _check_parallel(self, other):
-        if other.src != self.src or other.dst != self.dst:
-            raise ValueError("maps are not parallel")
-
     def __eq__(self, other):
         return (
             isinstance(other, FPMap)
@@ -350,10 +335,6 @@ class FPMap:
     def kernel(self):
         """(K, incl) with incl: K -> src exact onto the kernel."""
         return submodule(self.src, self._kernel_cols())
-
-    def image(self):
-        """(I, incl) with incl: I -> dst exact onto the image."""
-        return submodule(self.dst, self.mat)
 
     def cokernel(self):
         """(C, proj) with proj: dst -> C the quotient by the image."""

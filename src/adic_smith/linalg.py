@@ -65,9 +65,6 @@ class Matrix:
         return cls(ring, A, shape=(m, n))
 
     # -- basics -------------------------------------------------------
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def col(self, j: int):
         return tuple(r[j] for r in self.rows)
 
@@ -99,30 +96,6 @@ class Matrix:
         return f"Matrix({self.m}x{self.n} over {self.ring!r}: [{body}])"
 
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        add = self.ring.add
-        return Matrix(
-            self.ring,
-            [
-                [add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            shape=(self.m, self.n),
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        sub = self.ring.sub
-        return Matrix(
-            self.ring,
-            [
-                [sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            shape=(self.m, self.n),
-        )
-
     def __neg__(self) -> "Matrix":
         neg = self.ring.neg
         return Matrix(
@@ -163,10 +136,6 @@ class Matrix:
                                 row[j] = add(row[j], mul(a, Bk[j]))
                 out.append(row)
         return Matrix(self.ring, out, shape=(self.m, other.n))
-
-    def _check_same_shape(self, other):
-        if other.ring != self.ring or (other.m, other.n) != (self.m, self.n):
-            raise ValueError("shape or ring mismatch")
 
 
 def matvec(A: Matrix, v):

@@ -3,18 +3,17 @@
 Every ring in the package is one of
 
 * ``IntegerRing``            -- Z
-* ``ModRing(n)``             -- Z/n, n >= 2
 * ``PolyRing(field, var)``   -- k[x] for k = Q or F_p
 * ``SparsePolyRing(field, var)`` -- k[x] again, with term-list payloads;
   the rings of the dyadic ladder (``almost.AlmostContext``)
 * ``QuotientRing(base, f)``  -- R/(f) with R Euclidean (Z or k[x]); nested
-  quotients are rejected.
+  quotients are rejected.  Z/n is ``QuotientRing(ZZ, n)``, whichever of
+  its two JSON spellings names it.
 
 Arithmetic is done on raw *payloads* (int, tuple of coefficients, ...),
 not on wrapper objects, so the linear-algebra layer can run tight loops.
 All payloads are kept canonical at all times:
 
-* integers mod n reduced to [0, n)
 * polynomial coefficient tuples have no trailing zeros; rationals are
   ``fractions.Fraction`` (lowest terms, positive denominator)
 * sparse polynomial payloads list their nonzero terms by exponent
@@ -201,9 +200,7 @@ def GF(p: int) -> PrimeField:
 class Ring:
     """Common payload-level interface; concrete rings override."""
 
-    kind = "?"
     is_euclidean = False
-    is_finite = False
     variable: str | None = None
 
     # -- arithmetic ---------------------------------------------------
@@ -290,9 +287,6 @@ class Ring:
         """c with b*c = a, or ValueError."""
         raise NotImplementedError
 
-    def elements(self):
-        raise TypeError(f"{self!r} is not finite")
-
     def format_elem(self, a) -> str:
         raise NotImplementedError
 
@@ -301,12 +295,8 @@ class Ring:
 
         return exprparse.parse_payload(text, self)
 
-    def to_json(self):
-        raise NotImplementedError
-
 
 class IntegerRing(Ring):
-    kind = "integers"
     is_euclidean = True
     zero = 0
     one = 1
@@ -371,74 +361,6 @@ class IntegerRing(Ring):
     def __repr__(self):
         return "ZZ"
 
-    def to_json(self):
-        return {"kind": "integers"}
-
-
-class ModRing(Ring):
-    """Z/n with residue payloads. Not Euclidean; finite."""
-
-    kind = "mod"
-    is_finite = True
-
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError(f"modulus must be >= 2: {n}")
-        self.n = n
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.n
-
-    def sub(self, a, b):
-        return (a - b) % self.n
-
-    def mul(self, a, b):
-        return (a * b) % self.n
-
-    def neg(self, a):
-        return (-a) % self.n
-
-    def from_int(self, k):
-        return k % self.n
-
-    def coerce_payload(self, x):
-        if isinstance(x, int):
-            return x % self.n
-        raise ValueError(f"not a residue payload: {x!r}")
-
-    def is_unit(self, a):
-        return gcd(a, self.n) == 1
-
-    def unit_inverse(self, u):
-        return pow(u, -1, self.n)
-
-    def exact_div(self, a, b):
-        g = gcd(b, self.n)
-        if a % g != 0:
-            raise ValueError(f"{b} does not divide {a} in Z/{self.n}")
-        m = self.n // g
-        return ((a // g) * pow(b // g, -1, m)) % m if m > 1 else 0
-
-    def elements(self):
-        return list(range(self.n))
-
-    def format_elem(self, a):
-        return str(a)
-
-    def __eq__(self, other):
-        return isinstance(other, ModRing) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("mod", self.n))
-
-    def __repr__(self):
-        return f"Z/{self.n}"
-
-    def to_json(self):
-        return {"kind": "mod", "n": self.n}
-
 
 def _strip(coeffs: list) -> tuple:
     """The coefficient list without trailing zeros, as a payload tuple.
@@ -453,7 +375,6 @@ class PolyRing(Ring):
     """k[x] with k = Q or F_p. Payloads are coefficient tuples
     (c0, c1, ..., cd) with cd != 0; the zero polynomial is ()."""
 
-    kind = "poly"
     is_euclidean = True
 
     def __init__(self, field, var: str):
@@ -627,9 +548,6 @@ class PolyRing(Ring):
     def __repr__(self):
         return f"{self.field!r}[{self.variable}]"
 
-    def to_json(self):
-        return {"kind": "poly", "coeff": self.field.to_json(), "var": self.variable}
-
 
 class SparsePolyRing(PolyRing):
     """k[x] with payloads ((e0, c0), (e1, c1), ...), e0 < e1 < ..., every
@@ -761,8 +679,6 @@ class SparsePolyRing(PolyRing):
 class QuotientRing(Ring):
     """R/(f) for Euclidean R. Payloads are reduced base payloads."""
 
-    kind = "quotient"
-
     def __init__(self, base: Ring, modulus):
         if not base.is_euclidean:
             raise ValueError("quotient base must be Euclidean (Z or k[x])")
@@ -774,12 +690,6 @@ class QuotientRing(Ring):
         self.variable = base.variable
         self.zero = self.reduce(base.zero)
         self.one = self.reduce(base.one)
-
-    @property
-    def is_finite(self):
-        return isinstance(self.base, IntegerRing) or isinstance(
-            self.base.field, PrimeField
-        )
 
     def reduce(self, a):
         _, r = self.base.divmod_(a, self.modulus)
@@ -803,33 +713,21 @@ class QuotientRing(Ring):
     def coerce_payload(self, x):
         return self.reduce(self.base.coerce_payload(x))
 
-    def is_unit(self, a):
-        g, _, _ = self.base.xgcd(a, self.modulus)
-        return self.base.is_unit(g) or self.base.is_zero(self.one)
-
-    def unit_inverse(self, u):
-        g, s, _ = self.base.xgcd(u, self.modulus)
-        if not (self.base.is_unit(g) or self.base.is_zero(self.one)):
-            raise ValueError(f"not a unit: {u!r}")
-        if self.base.is_zero(self.one):
-            return self.zero
-        return self.reduce(self.base.mul(self.base.unit_inverse(g), s))
-
     def exact_div(self, a, b):
-        g, s, _ = self.base.xgcd(b, self.modulus)
+        """The least x with b*x = a: with g = gcd(b, f), the residue of
+        (a/g) * (b/g)^-1 mod f/g.  Over Z that is the least nonnegative
+        solution; over k[x] the one of degree below deg(f/g)."""
+        base = self.base
+        g, s, _ = base.xgcd(b, self.modulus)
         try:
-            c = self.base.exact_div(a, g)
+            c = base.exact_div(a, g)
         except ValueError:
             raise ValueError(f"{b!r} does not divide {a!r} in {self!r}") from None
-        x = self.reduce(self.base.mul(s, c))
+        # s*b + t*f = g, so s is an inverse of b/g mod f/g
+        x = base.divmod_(base.mul(c, s), base.exact_div(self.modulus, g))[1]
         if self.mul(b, x) != self.coerce_payload(a):
             raise ValueError(f"{b!r} does not divide {a!r} in {self!r}")
         return x
-
-    def elements(self):
-        if not self.is_finite:
-            raise TypeError(f"{self!r} is not finite")
-        return residues(self.base, self.modulus)
 
     def format_elem(self, a):
         return self.base.format_elem(a)
@@ -846,13 +744,6 @@ class QuotientRing(Ring):
 
     def __repr__(self):
         return f"{self.base!r}/({self.base.format_elem(self.modulus)})"
-
-    def to_json(self):
-        return {
-            "kind": "quotient",
-            "base": self.base.to_json(),
-            "modulus": self.base.format_elem(self.modulus),
-        }
 
 
 ZZ = IntegerRing()
@@ -876,12 +767,10 @@ def residues(base: Ring, d):
 def algebra_split(ring: Ring):
     """(Euclidean base R, modulus payload or None) for an algebra A = R/(f).
 
-    ModRing(n) is treated as Z/(n); plain Euclidean rings have no modulus.
+    A plain Euclidean ring is its own base, with no modulus.
     """
     if isinstance(ring, QuotientRing):
         return ring.base, ring.modulus
-    if isinstance(ring, ModRing):
-        return ZZ, ring.n
     if ring.is_euclidean:
         return ring, None
     raise ValueError(f"not a supported module algebra: {ring!r}")
@@ -921,7 +810,10 @@ def ring_from_json(obj, path: str = "ring") -> Ring:
     if kind == "integers":
         return ZZ
     if kind == "mod":
-        return _built(path, ModRing, json_key(obj, "n", int, "an integer", path))
+        n = json_key(obj, "n", int, "an integer", path)
+        if n < 2:
+            raise ValueError(f"{path}: modulus must be >= 2: {n}")
+        return QuotientRing(ZZ, n)
     if kind == "poly":
         coeff = obj.get("coeff")
         if coeff == "rationals":

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from adic_smith.rings import GF, QQ, IntegerRing, ModRing, PolyRing, QuotientRing
+from adic_smith.rings import GF, QQ, IntegerRing, PolyRing
 from adic_smith.linalg import Matrix
 
 ZZ = IntegerRing()
@@ -35,8 +35,6 @@ def random_poly_matrix(rng, ring, m, n, deg=2, coeff_bound=1):
 
 
 SMALL_RINGS = {
-    "ZZ": ZZ,
-    "Z8": ModRing(8),
     "F2x": PolyRing(GF(2), "x"),
     "Qx": PolyRing(QQ, "x"),
 }

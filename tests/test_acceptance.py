@@ -50,6 +50,7 @@ from adic_smith.monomial import MonomialLocalRing, monomial_tower, parse_monomia
 from adic_smith.oracle import (
     BoxTables,
     FiniteCorpus,
+    _swap_map,
     all_table_arrows,
     check_monoidal_laws,
     cok_arrow,
@@ -471,14 +472,57 @@ def _unit_name(lab, i):
     return tuple(one if j == i else zero for j, (zero, one) in enumerate(units))
 
 
+def _unit_elements(M, lab, engine):
+    """The table elements of the engine module's generators: the unit tuples."""
+    index = {name: x for x, name in enumerate(M.names)}
+    return [index[_unit_name(lab, i)] for i in range(engine.ngens)]
+
+
 def _engine_arrow(a, labels, engines):
     """The table arrow a as an engine arrow: column i is the table image
     of the i-th unit tuple, whose name lists its engine coordinates."""
-    la, lb = labels[id(a.src)], labels[id(a.dst)]
-    src, dst = engines[la], engines[lb]
-    index = {name: x for x, name in enumerate(a.src.names)}
-    cols = [a.dst.names[a.f[index[_unit_name(la, i)]]] for i in range(src.ngens)]
+    src, dst = engines[labels[id(a.src)]], engines[labels[id(a.dst)]]
+    cols = [a.dst.names[a.f[x]] for x in _unit_elements(a.src, labels[id(a.src)], src)]
     return Arrow(FPMap(src, dst, [[c[r] for c in cols] for r in range(dst.ngens)]))
+
+
+def _scalar_index(ring):
+    """An engine scalar as an element of the corpus ring: Z mod 4, or
+    F_2[x] mod x^2, whose names are the pairs (a, b) for a + b*x."""
+    index = {name: r for r, name in enumerate(ring.names)}
+    if ring.name == "z4":
+        return lambda c: index[c % 4]
+    return lambda c: index[(tuple(c) + (0, 0))[:2]]
+
+
+def _table_value(M, scalar, vec, images):
+    """sum of vec[k] * images[k] in the table module M, for engine scalars."""
+    y = M.zero
+    for c, g in zip(vec, images):
+        if c:
+            y = M.add(y, M.act[scalar(c)][g])
+    return y
+
+
+def _symmetry_mismatches(sym, bab, bba, units_a, units_b, scalar):
+    """How many of the top and bottom maps of the engine's box symmetry
+    a box b -> b box a differ, on generators, from the oracle's swap."""
+    a, b = bab.a, bab.b
+    (x0, x1), (y0, y1) = units_a, units_b
+    swap_u = _swap_map(bab.T01, a.src, b.dst, bba.T10)
+    swap_v = _swap_map(bab.T10, a.dst, b.src, bba.T01)
+    s11 = _swap_map(bab.T11, a.dst, b.dst, bba.T11)
+    z01, z10 = bba.T01.module.zero, bba.T10.module.zero
+    # engine generators of b box a, in block order: Y0 X1, then Y1 X0
+    gens_ba = [bba.project(bba.T01.pairing(n, m), z10) for n in y0 for m in x1]
+    gens_ba += [bba.project(z01, bba.T10.pairing(n, m)) for n in y1 for m in x0]
+    want_top = [bba.project(z01, swap_u[bab.T01.pairing(m, n)]) for m in x0 for n in y1]
+    want_top += [bba.project(swap_v[bab.T10.pairing(m, n)], z10) for m in x1 for n in y0]
+    gens_11 = [bba.T11.pairing(n, m) for n in y1 for m in x1]
+    want_bottom = [s11[bab.T11.pairing(m, n)] for m in x1 for n in y1]
+    top = [_table_value(bba.P, scalar, c, gens_ba) for c in sym.top.mat.cols()]
+    bottom = [_table_value(bba.T11.module, scalar, c, gens_11) for c in sym.bottom.mat.cols()]
+    return (top != want_top) + (bottom != want_bottom)
 
 
 def _holds(check):
@@ -504,11 +548,24 @@ def test_criterion_11_arrow_category_against_tables():
     corpora = (("z4", _engine_z4, _additive_factors_z4, ZZ), ("f2x", _engine_f2x, _additive_factors_f2x, F2x))
     for name, eng, addfac, base in corpora:
         corpus = FiniteCorpus(name, 16)
+        scalar = _scalar_index(corpus.ring)
         engines = {lab: eng(lab) for lab in corpus.labels}
         labels = {id(M): lab for lab, M in zip(corpus.labels, corpus.modules)}
         pool = all_table_arrows(corpus, 16)
         arrows = [_engine_arrow(a, labels, engines) for a in pool]
+        units = [
+            tuple(_unit_elements(M, labels[id(M)], engines[labels[id(M)]]) for M in (a.src, a.dst))
+            for a in pool
+        ]
         orders = [a.order() for a in pool]
+        boxes = {}
+
+        def box_tables(a, b):
+            key = (id(a), id(b))
+            if key not in boxes:
+                boxes[key] = BoxTables(a, b)
+            return boxes[key]
+
         tensor_unit, box_unit = tensor_unit_arrow(base), box_unit_arrow(base)
 
         for a, e in zip(pool, arrows):
@@ -521,18 +578,25 @@ def test_criterion_11_arrow_category_against_tables():
             mismatches += _arrow_factors(addfac, tensor_arrows(e, tensor_unit)) != own
             mismatches += _arrow_factors(addfac, pushout_product(e, box_unit)) != own
 
-        for a, ea, oa in zip(pool, arrows, orders):
-            for b, eb, ob in zip(pool, arrows, orders):
+        for a, ea, oa, ua in zip(pool, arrows, orders, units):
+            for b, eb, ob, ub in zip(pool, arrows, orders, units):
                 if oa * ob > 16:
                     continue
                 counts["pairs"] += 1
-                box = BoxTables(a, b)
+                box = box_tables(a, b)
                 mismatches += _arrow_factors(addfac, pushout_product(ea, eb)) != (
                     box.P.invariant_factor_orders(),
                     box.T11.module.invariant_factor_orders(),
                 )
-                for structure in (box_symmetry, tensor_arrows_symmetry, cok_box_comparison):
+                for structure in (tensor_arrows_symmetry, cok_box_comparison):
                     mismatches += not _holds(lambda: structure(ea, eb).is_iso())
+                try:
+                    sym = box_symmetry(ea, eb)
+                except ValueError:
+                    mismatches += 1
+                else:
+                    mismatches += not sym.is_iso()
+                    mismatches += _symmetry_mismatches(sym, box, box_tables(b, a), ua, ub, scalar)
                 mismatches += not _holds(lambda: ker_lax_comparison(ea, eb).top is not None)
 
                 if oa * ob <= 8:

@@ -40,7 +40,7 @@ def test_ladder_rings_and_payloads(ctx):
     assert ctx.ring(3).format_elem(ctx.lift(R0.gen, 0, 3)) == "u3^8"
     assert ctx.multiplier(0, 2) == ((4, 1),)
     assert ctx.multiplier(1, 3) == ((4, 1),)
-    assert ctx.multiplier(2, 2) == ctx.u(2)
+    assert ctx.multiplier(2, 2) == ctx.ring(2).gen
     with pytest.raises(ValueError, match="depths >= e"):
         ctx.multiplier(3, 1)
     with pytest.raises(ValueError, match="down the ladder"):

@@ -122,6 +122,34 @@ def test_tower_monomial_engine():
     assert rep["levels"][1]["basis"] == ["1", "x", "y"]
 
 
+def test_tower_monomial_engine_defaults_to_x():
+    code, out, _ = run_cli(["tower", "--engine", "monomial", "--ideal", "x^2", "--levels", "2"])
+    assert code == 0
+    rep = json.loads(out)
+    assert [lv["algebra_dim"] for lv in rep["levels"]] == [2, 4, 6]
+    assert rep["levels"][2]["basis"] == ["1", "x", "x^2", "x^3", "x^4", "x^5"]
+
+
+def test_tower_monomial_engine_default_has_no_y():
+    check_exit2(["tower", "--engine", "monomial", "--ideal", "x,y"],
+                "input error: --ideal: unknown variable 'y' (have x)")
+
+
+def test_both_spellings_of_z6_divide_alike(tmp_path):
+    """The generator "4/4" is 1 in Z/6 whichever spelling names the ring,
+    so the ideal is the unit ideal and level 0 has no invariant factors."""
+    reports = []
+    for i, ring in enumerate([{"kind": "mod", "n": 6},
+                              {"kind": "quotient", "base": {"kind": "integers"}, "modulus": "6"}]):
+        p = tmp_path / f"z6-{i}.json"
+        p.write_text(json.dumps({"rings": {"Z6": ring}, "ideals": {"I": {"ring": "Z6", "generators": ["4/4"]}}}))
+        code, out, _ = run_cli(["tower", "--input", str(p), "--ideal", "I", "--levels", "1"])
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(out)["levels"][0]["invariant_factors_algebra"] == []
+
+
 def test_graded(doc):
     code, out, _ = run_cli(["graded", "--input", doc, "--ideal", "p2", "--levels", "2"])
     assert code == 0

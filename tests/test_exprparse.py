@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adic_smith.exprparse import ParseError, parse_payload
-from adic_smith.rings import GF, QQ, IntegerRing, ModRing, PolyRing, QuotientRing
+from adic_smith.rings import GF, QQ, IntegerRing, PolyRing, QuotientRing
 
 from conftest import poly_from_coeffs
 
@@ -44,7 +44,7 @@ def test_quotient_ring_expressions():
 
 
 def test_mod_ring_expressions():
-    R = ModRing(8)
+    R = QuotientRing(ZZ, 8)
     assert parse_payload("5+5", R) == 2
     assert parse_payload("2^3", R) == 0
 

@@ -42,7 +42,7 @@ def assert_snf_certificate(A, cert):
     for i in range(A.m):
         for j in range(A.n):
             if i != j:
-                assert cert.D.entry(i, j) == ring.zero
+                assert cert.D.rows[i][j] == ring.zero
     for d1, d2 in zip(diag, diag[1:]):
         if d2 != ring.zero:
             assert d1 != ring.zero

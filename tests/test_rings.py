@@ -11,6 +11,7 @@ against dense ``PolyRing`` on the same elements.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,7 +21,6 @@ from adic_smith.rings import (
     POW_EXPONENT_CAP,
     QQ,
     IntegerRing,
-    ModRing,
     PolyRing,
     QuotientRing,
     SparsePolyRing,
@@ -60,7 +60,7 @@ def test_integer_divmod_is_euclidean(a, b):
 
 @given(st.integers(2, 60), ints, ints)
 def test_mod_ring_matches_int_arithmetic(n, a, b):
-    R = ModRing(n)
+    R = QuotientRing(ZZ, n)
     x, y = R.from_int(a), R.from_int(b)
     assert R.add(x, y) == (a + b) % n
     assert R.mul(x, y) == (a * b) % n
@@ -265,36 +265,109 @@ def test_quotient_ring_reduction():
 
 
 def test_quotient_ring_mod27():
-    R = ModRing(27)
+    R = QuotientRing(ZZ, 27)
     assert R.mul(R.from_int(9), R.from_int(3)) == 0
-    assert R.is_unit(R.from_int(2))
-    assert not R.is_unit(R.from_int(3))
-    assert R.mul(R.from_int(2), R.unit_inverse(R.from_int(2))) == R.one
+    assert R.mul(R.from_int(2), R.exact_div(R.one, R.from_int(2))) == R.one
+    with pytest.raises(ValueError, match="does not divide"):
+        R.exact_div(R.one, R.from_int(3))
 
 
-@pytest.mark.parametrize("ring", [ZZ, ModRing(12), F2X, QX], ids=["ZZ", "Z12", "F2[x]", "Q[x]"])
+def _old_mod_exact_div(n, a, b):
+    """Z/n division as the former residue-payload ring did it."""
+    g = gcd(b, n)
+    if a % g != 0:
+        raise ValueError(f"{b} does not divide {a} in Z/{n}")
+    m = n // g
+    return ((a // g) * pow(b // g, -1, m)) % m if m > 1 else 0
+
+
+def test_quotient_of_integers_divides_as_residues_did():
+    """On every (a, b) of Z/(n), 2 <= n <= 60, a/b is the least solution."""
+    for n in range(2, 61):
+        R = QuotientRing(ZZ, n)
+        for a in range(n):
+            for b in range(n):
+                try:
+                    want = _old_mod_exact_div(n, a, b)
+                except ValueError:
+                    with pytest.raises(ValueError, match="does not divide"):
+                        R.exact_div(a, b)
+                else:
+                    assert R.exact_div(a, b) == want, (n, a, b)
+
+
+@st.composite
+def _fp_quotient_pairs(draw):
+    """(F_p[x]/(f), a, b) for p in {2, 3}, deg f in 1..5, a and b reduced."""
+    base = PolyRing(GF(draw(st.sampled_from([2, 3]))), "x")
+    p = base.field.p
+    coeffs = lambda n: st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    deg = draw(st.integers(1, 5))
+    R = QuotientRing(base, base.coerce_payload(tuple(draw(coeffs(deg))) + (1,)))
+    a, b = (R.coerce_payload(tuple(draw(coeffs(deg)))) for _ in range(2))
+    return R, a, b
+
+
+@given(_fp_quotient_pairs())
+@settings(max_examples=300, deadline=None)
+def test_quotient_exact_div_least_solution(drawn):
+    """x with b*x = a and deg x < deg(f/g), g = gcd(b, f), when g | a;
+    ValueError otherwise."""
+    R, a, b = drawn
+    base = R.base
+    g = base.gcd(b, R.modulus)
+    if base.divmod_(a, g)[1]:
+        with pytest.raises(ValueError, match="does not divide"):
+            R.exact_div(a, b)
+        return
+    x = R.exact_div(a, b)
+    assert R.mul(b, x) == a
+    assert not x or base.degree(x) < base.degree(base.exact_div(R.modulus, g))
+
+
+_zn_pairs = st.integers(2, 60).flatmap(
+    lambda n: st.tuples(st.just(QuotientRing(ZZ, n)), st.integers(0, n - 1), st.integers(0, n - 1))
+)
+
+
+@given(st.one_of(_zn_pairs, _fp_quotient_pairs()))
+@settings(max_examples=300, deadline=None)
+def test_quotient_exact_div_by_unit_is_product_with_inverse(drawn):
+    """For a unit b of R/(f), a/b is a * b^-1 mod f."""
+    R, a, b = drawn
+    g, s, _ = R.base.xgcd(b, R.modulus)
+    assume(g == R.base.one)
+    assert R.exact_div(a, b) == R.mul(a, R.coerce_payload(s))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QuotientRing(ZZ, 12), F2X, QX], ids=["ZZ", "Z12", "F2[x]", "Q[x]"])
 def test_format_parse_round_trip(ring, rng):
     for _ in range(50):
         if ring is ZZ:
             a = rng.randint(-50, 50)
-        elif isinstance(ring, ModRing):
+        elif isinstance(ring, QuotientRing):
             a = ring.from_int(rng.randint(0, 40))
         else:
             a = poly_from_coeffs(ring, [rng.randint(-3, 3) for _ in range(rng.randint(0, 5))])
         assert ring.parse(ring.format_elem(a)) == a
 
 
-def test_ring_json_round_trip():
+def test_ring_json_builds_the_named_ring():
+    z8 = QuotientRing(ZZ, 8)
     specs = [
-        {"kind": "integers"},
-        {"kind": "mod", "n": 8},
-        {"kind": "poly", "coeff": {"fp": 2}, "var": "x"},
-        {"kind": "poly", "coeff": "rationals", "var": "y"},
-        {"kind": "quotient", "base": {"kind": "poly", "coeff": {"fp": 2}, "var": "x"}, "modulus": "x^4"},
+        ({"kind": "integers"}, ZZ),
+        ({"kind": "mod", "n": 8}, z8),
+        ({"kind": "quotient", "base": {"kind": "integers"}, "modulus": "8"}, z8),
+        ({"kind": "poly", "coeff": {"fp": 2}, "var": "x"}, F2X),
+        ({"kind": "poly", "coeff": "rationals", "var": "y"}, PolyRing(QQ, "y")),
+        ({"kind": "quotient", "base": {"kind": "poly", "coeff": {"fp": 2}, "var": "x"}, "modulus": "x^4"},
+         QuotientRing(F2X, poly_from_coeffs(F2X, [0, 0, 0, 0, 1]))),
     ]
-    for spec in specs:
-        ring = ring_from_json(spec)
-        assert ring_from_json(ring.to_json()) == ring
+    for spec, ring in specs:
+        assert ring_from_json(spec) == ring
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"^ring: modulus must be >= 2: {n}$"):
+            ring_from_json({"kind": "mod", "n": n})
 
 
 def test_ring_json_rejects_unknown_kind():
@@ -321,7 +394,7 @@ def _linear_pow(ring, a, n):
     "ring,text",
     [
         (ZZ, "-3"),
-        (ModRing(12), "5"),
+        (QuotientRing(ZZ, 12), "5"),
         (F2X, "x^2 + x + 1"),
         (QX, "1/2*x - 3"),
         (QuotientRing(ZZ, 1000), "7"),
@@ -460,7 +533,6 @@ def test_sparse_ops_match_dense(name, data):
 def test_sparse_ring_is_not_the_dense_ring():
     S, D = SparsePolyRing(GF(2), "x"), PolyRing(GF(2), "x")
     assert S != D and D != S and S == SparsePolyRing(GF(2), "x")
-    assert S.to_json() == D.to_json()
     # terms are summed, reduced, stripped of zeros and sorted
     S3 = SparsePolyRing(GF(3), "x")
     assert S3.coerce_payload(((5, 4), (3, 5), (3, 1), (0, 2))) == ((0, 2), (5, 1))
