@@ -10,6 +10,15 @@ load.  An ideal is parsed and checked at load, but its ``SmithIdeal``
 is built only when a command or a map first reads it, at most once per
 command; a document's other ideals cost only their parse.
 
+Each command imports only the engine it runs.  ``rings``, ``linalg``,
+``fpmod``, ``arrowcat`` and ``tower`` load with this module, since every
+document command needs them; ``almost`` loads in ``almost`` (and for its
+``--depth`` budget), ``monomial`` in ``tower --engine monomial`` and
+``oracle`` in ``verify-laws``.  Without cached bytecode (as under
+``PYTHONDONTWRITEBYTECODE``) every import compiles its module, and the
+three engines cost about 2 MB of peak memory and 20-30 ms in a process
+that never runs them.
+
 Exit status: 0 all checks passed, 1 a verdict failed, 2 the input or
 invocation was bad, 3 the program itself failed (any other exception,
 ``MemoryError`` and ``RecursionError`` included, and an engine invariant
@@ -38,24 +47,17 @@ from .tower import (
     ModuleTower,
     yekutieli_compare,
 )
-from .monomial import MonomialLocalRing, TowerTooLarge, monomial_tower, parse_monomial, default_var_names
-from .almost import (
-    MAX_DEPTH,
-    AlmostContext,
-    AlmostModule,
-    almost_adic_check,
-    almost_zero_to_depth,
-)
-from .oracle import MAX_ORDER, FiniteCorpus, check_monoidal_laws, LAW_NAMES
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-# Law-audit tuple bounds.  At the edge, verify-laws on z4 or f2x takes
-# 6-9 s and about 140 MB on a 2-core machine; at --pair-bound 128 it
-# ran past 60 s.
+# Law-audit bounds: the corpus order (oracle.MAX_ORDER, held here so
+# that checking it compiles no oracle) and the tuple bounds.  At the
+# edge, verify-laws on z4 or f2x takes 6-9 s and about 140 MB on a
+# 2-core machine; at --pair-bound 128 it ran past 60 s.
+MAX_ORDER = 64
 MAX_PAIR_BOUND = 64
 MAX_TRIPLE_BOUND = 32
 
@@ -274,6 +276,8 @@ def _var_names(text: str):
 
 def cmd_tower(args, doc):
     if args.engine == "monomial":
+        from .monomial import MonomialLocalRing, TowerTooLarge, default_var_names, monomial_tower, parse_monomial
+
         if not args.ideal:
             raise InputError("--ideal", "monomial engine needs --ideal with comma-separated monomials")
         names = default_var_names(1) if args.vars is None else _var_names(args.vars)
@@ -414,6 +418,8 @@ def cmd_yekutieli(args, doc):
 
 
 def cmd_almost(args, doc):
+    from .almost import AlmostContext, AlmostModule, almost_adic_check, almost_zero_to_depth
+
     K = args.depth
     ctx = AlmostContext(GF(2), K)
     R0 = ctx.ring(0)
@@ -457,6 +463,8 @@ def cmd_almost(args, doc):
 
 
 def cmd_verify_laws(args, doc):
+    from .oracle import LAW_NAMES, FiniteCorpus, check_monoidal_laws
+
     ring = args.ring or "z4"
     if ring not in ("z2", "z3", "z4", "f2x"):
         raise InputError("--ring", f"law corpora exist over z2, z3, z4, f2x; got {ring!r}")
@@ -557,9 +565,12 @@ def main(argv=None) -> int:
         if value > most:
             sys.stderr.write(f"input error: {flag}: must be <= {most}, got {value}\n")
             return EXIT_INPUT
-    if args.command == "almost" and args.depth > MAX_DEPTH:
-        sys.stderr.write(f"input error: --depth: must be <= {MAX_DEPTH}, got {args.depth}\n")
-        return EXIT_INPUT
+    if args.command == "almost":
+        from .almost import MAX_DEPTH
+
+        if args.depth > MAX_DEPTH:
+            sys.stderr.write(f"input error: --depth: must be <= {MAX_DEPTH}, got {args.depth}\n")
+            return EXIT_INPUT
     if args.command != "tower" and args.engine == "monomial":
         sys.stderr.write("input error: --engine: only tower supports the monomial engine\n")
         return EXIT_INPUT

@@ -8,14 +8,18 @@ must name the JSON path or flag it came from on stderr.
 import io
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from adic_smith import cli
 from adic_smith.almost import MAX_DEPTH, AlmostContext
 from adic_smith.cli import main
-from adic_smith.monomial import MONOMIAL_BUDGET
+from adic_smith.monomial import MONOMIAL_BUDGET, MONOMIAL_WORK
 from adic_smith.oracle import LAW_NAMES, MAX_ORDER
 from adic_smith.rings import GF, IntegerRing
 from adic_smith.tower import SmithIdeal, Tower
@@ -480,6 +484,29 @@ def test_monomial_tower_past_budget_names_levels():
     )
 
 
+MAXIMAL_60 = ",".join(f"v{i}" for i in range(60))
+MAXIMAL_200 = ",".join(f"v{i}" for i in range(200))
+
+
+@pytest.mark.parametrize("names,levels", [(MAXIMAL_60, "2"), (MAXIMAL_200, "1")], ids=["60-vars", "200-vars"])
+def test_monomial_tower_past_work_budget_names_levels(names, levels):
+    """The maximal ideal of many variables lists few entries but would
+    take millions of divisibility tests (6 s at 60 variables, 25 s at
+    200); the work budget refuses it before they are made."""
+    start = time.perf_counter()
+    check_exit2(
+        ["tower", "--engine", "monomial", "--ideal", names, "--vars", names, "--levels", levels],
+        f"input error: --levels: the tower would take more than {MONOMIAL_WORK} monomial tests and products",
+    )
+    assert time.perf_counter() - start < 1.0
+
+
+def test_max_order_budget_is_the_oracles():
+    """The CLI holds the corpus bound itself, so checking --max-order
+    compiles no oracle; it must be the oracle's own guardrail."""
+    assert cli.MAX_ORDER == MAX_ORDER
+
+
 def test_monomial_field_not_prime_names_ring():
     check_exit2(
         ["tower", "--engine", "monomial", "--ideal", "x^2", "--vars", "x", "--ring", "F4"],
@@ -694,3 +721,55 @@ def test_table_format_same_verdict(doc):
     assert "ok = true" in lines
     # flat lines carry the same leaves the JSON does
     assert f"levels[1].invariant_factors_algebra[0] = \"4\"" in lines
+
+
+# -- engine imports per command ---------------------------------------
+
+ENGINES = {"adic_smith.oracle", "adic_smith.almost", "adic_smith.monomial"}
+
+# Runs of one fresh interpreter each, and the engines each run loads.
+# The document commands share one interpreter, which is checked after
+# the import and after every command; none of them loads an engine.
+ENGINE_RUNS = [
+    ([["tower", "--input", "@", "--ideal", "p2"], ["graded", "--input", "@", "--ideal", "p2"],
+      ["complete-check", "--input", "@", "--ideal", "p2"], ["yekutieli", "--input", "@", "--ideal", "p2"],
+      ["adic-module", "--input", "@", "--ideal", "p2", "--module", "T8"],
+      ["analytic-check", "--input", "@", "--map", "embed"]], set()),
+    ([["verify-laws", "--ring", "z2", "--max-order", "2", "--laws", "box_symmetry"]], {"adic_smith.oracle"}),
+    ([["almost", "--depth", "2"]], {"adic_smith.almost"}),
+    ([["tower", "--engine", "monomial", "--ideal", "x^2,y^2", "--vars", "x,y"]], {"adic_smith.monomial"}),
+]
+
+ENGINE_PROBE = """
+import contextlib, io, json, sys
+from adic_smith import cli
+
+def engines():
+    return sorted(m for m in sys.modules if m in {engines!r})
+
+seen = [("import", 0, engines())]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append((argv[0], code, engines()))
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("runs,expected", ENGINE_RUNS, ids=["documents", "verify-laws", "almost", "monomial"])
+def test_each_command_imports_only_its_engine(doc, runs, expected):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argvs = [[doc if a == "@" else a for a in argv] + ["--levels", "1"] for argv in runs]
+    proc = subprocess.run(
+        [sys.executable, "-c", ENGINE_PROBE.format(engines=sorted(ENGINES)), json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen[0] == ["import", 0, []]
+    for command, code, loaded in seen[1:]:
+        assert code in (0, 1), (command, proc.stderr)
+        assert set(loaded) == expected, command

@@ -283,3 +283,18 @@ def test_budget_counts_levels_and_listed_monomials(monkeypatch):
         monomial_tower(MonomialLocalRing("Q", 1, [(0,)]), 39)
     assert issubclass(TowerTooLarge, ValueError)
 
+
+def test_work_budget_counts_rejected_tests_and_products(monkeypatch):
+    R = MonomialLocalRing("Q", 2, [(1, 0), (0, 1)])
+    # N = 1: the walk tests the monomial 1 against no generator,
+    # 2 of degree 1 and the 3 rejected ones of degree 2 against both
+    # (10 tests); the links form I from 1 and I^2 from I (2 + 4 products).
+    monkeypatch.setattr(monomial, "MONOMIAL_WORK", 16)
+    assert len(monomial_tower(R, 1)["levels"]) == 2
+    monkeypatch.setattr(monomial, "MONOMIAL_WORK", 15)
+    with pytest.raises(TowerTooLarge, match="more than 15 monomial tests and products"):
+        monomial_tower(R, 1)
+    # the walk alone makes 10, so it refuses at 9, before the degree-2 tests
+    monkeypatch.setattr(monomial, "MONOMIAL_WORK", 9)
+    with pytest.raises(TowerTooLarge):
+        monomial._order_walk(R, 1)

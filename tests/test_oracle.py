@@ -902,3 +902,5 @@ def test_oracle_loads_no_engine_module():
     loaded = set(proc.stdout.split())
     assert "adic_smith.oracle" in loaded
     assert loaded.isdisjoint(ENGINE_MODULES), sorted(loaded.intersection(ENGINE_MODULES))
+    # the CLI holds its own copy of MAX_ORDER rather than the oracle reading the CLI's
+    assert "adic_smith.cli" not in loaded
