@@ -40,7 +40,7 @@ class AlmostContext:
     ladder map V_d -> V_e (e >= d) substitutes u_d = u_e^(2^(e-d)).
     """
 
-    __slots__ = ("field", "K", "_rings")
+    __slots__ = ("field", "K", "_rings", "_depths")
 
     def __init__(self, field, K: int):
         if K < 0:
@@ -48,12 +48,14 @@ class AlmostContext:
         self.field = field
         self.K = K
         self._rings = {}
+        self._depths = {}  # ring -> depth, for the rings built so far
 
     def ring(self, d: int) -> SparsePolyRing:
         if not 0 <= d <= self.K:
             raise ValueError(f"depth {d} outside 0..{self.K}")
         if d not in self._rings:
-            self._rings[d] = SparsePolyRing(self.field, "t" if d == 0 else f"u{d}")
+            R = self._rings[d] = SparsePolyRing(self.field, "t" if d == 0 else f"u{d}")
+            self._depths[R] = d
         return self._rings[d]
 
     def lift(self, payload, d_from: int, d_to: int):
@@ -70,10 +72,21 @@ class AlmostContext:
         return R.stretch(R.gen, 2 ** (at_depth - e))
 
     def depth_of(self, algebra) -> int:
+        """The depth whose ring is the base of ``algebra``.  A ring not
+        built here names its depth in its variable, checked against the
+        ring built at that depth."""
         base, _ = algebra_split(algebra)
-        for d in range(self.K + 1):
-            if self.ring(d) == base:
-                return d
+        if base in self._depths:
+            return self._depths[base]
+        var = base.variable or ""
+        if var == "t":
+            d = 0
+        elif var[:1] == "u" and var[1:].isdecimal():
+            d = int(var[1:])
+        else:
+            d = -1
+        if 0 <= d <= self.K and self.ring(d) == base:
+            return d
         raise ValueError(f"ring {base!r} is not on this ladder")
 
     def describe(self):

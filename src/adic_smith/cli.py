@@ -55,7 +55,7 @@ EXIT_INTERNAL = 3
 
 # Law-audit bounds: the corpus order (oracle.MAX_ORDER, held here so
 # that checking it compiles no oracle) and the tuple bounds.  At the
-# edge, verify-laws on z4 or f2x takes 6-9 s and about 140 MB on a
+# edge, verify-laws on z4 or f2x takes 5-6 s and about 81 MB on a
 # 2-core machine; at --pair-bound 128 it ran past 60 s.
 MAX_ORDER = 64
 MAX_PAIR_BOUND = 64

@@ -134,11 +134,12 @@ def _order_walk(Rm: MonomialLocalRing, N: int):
     if not Rm.is_cofinite():
         i = Rm.missing_pure_power() + 1
         raise ValueError("quotient is infinite-dimensional: no pure power of variable %d" % i)
-    r, order, listed, work = Rm.r, {}, N + 1, 0
+    r, order, listed = Rm.r, {}, N + 1
     layer, degree = [((0,) * r, 0)], 0
+    gens = [g for g in Rm.gens if sum(g) <= degree]
+    work = _spend(0, len(gens))
     while layer:
-        nxt, gens = [], [g for g in Rm.gens if sum(g) <= degree]
-        work = _spend(work, len(layer) * len(gens))
+        kept = []
         for c, j in layer:
             if listed > MONOMIAL_BUDGET:
                 raise TowerTooLarge(f"the tower would hold more than {MONOMIAL_BUDGET} entries")
@@ -149,8 +150,12 @@ def _order_walk(Rm: MonomialLocalRing, N: int):
             if o <= N:
                 listed += N + 1 - o
                 order[c] = o
-                nxt += [(c[:k] + (c[k] + 1,) + c[k + 1:], k) for k in range(j, r)]
-        layer, degree = nxt, degree + 1
+                kept.append((c, j))
+        degree += 1
+        gens = [g for g in Rm.gens if sum(g) <= degree]
+        # the next degree's tests are charged before its candidates are built
+        work = _spend(work, sum(r - j for _, j in kept) * len(gens))
+        layer = [(c[:k] + (c[k] + 1,) + c[k + 1:], k) for c, j in kept for k in range(j, r)]
     return order, work
 
 

@@ -12,7 +12,7 @@ verdicts are frozen for the standard witnesses:
 
 import pytest
 
-from adic_smith.rings import GF, PolyRing
+from adic_smith.rings import GF, PolyRing, SparsePolyRing
 from adic_smith.fpmod import FPMap, FPModule, submodule
 from adic_smith.linalg import Matrix
 from adic_smith.almost import (
@@ -54,6 +54,21 @@ def test_depth_of_recognizes_ladder_rings(ctx):
     assert ctx.depth_of(ctx.ring(3)) == 3
     with pytest.raises(ValueError, match="not on this ladder"):
         ctx.depth_of(PolyRing(GF(2), "s"))
+
+
+def test_depth_of_builds_no_other_ladder_ring():
+    # depth_of is a lookup: at the depth budget it builds nothing below
+    deep = AlmostContext(GF(2), 14000)
+    assert deep.depth_of(deep.ring(14000)) == 14000
+    assert list(deep._rings) == [14000]
+    # an equal ring built elsewhere is read off its variable and checked
+    assert deep.depth_of(SparsePolyRing(GF(2), "u9000")) == 9000
+    assert deep.depth_of(SparsePolyRing(GF(2), "t")) == 0
+    assert sorted(deep._rings) == [0, 9000, 14000]
+    for other in (SparsePolyRing(GF(3), "u5"), PolyRing(GF(2), "u5"), SparsePolyRing(GF(2), "u05"),
+                  SparsePolyRing(GF(2), "u0"), SparsePolyRing(GF(2), "u14001")):
+        with pytest.raises(ValueError, match="not on this ladder"):
+            deep.depth_of(other)
 
 
 def test_module_at_depth_stretches_relations(ctx):

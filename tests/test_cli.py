@@ -501,6 +501,41 @@ def test_monomial_tower_past_work_budget_names_levels(names, levels):
     assert time.perf_counter() - start < 1.0
 
 
+# Runs the CLI on argv[1:] in a child and prints [exit code, peak RSS in
+# KiB, stderr].  A process's ru_maxrss includes the memory of the process
+# that forked it, as it stood at exec, so tests start this small
+# interpreter rather than the CLI itself from the test process.
+PEAK_RSS_PROBE = """
+import json, os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "adic_smith", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+err = proc.stderr.read().decode()
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(json.dumps([proc.returncode, usage.ru_maxrss, err]))
+"""
+
+
+def test_monomial_work_refusal_comes_before_the_candidates_are_built():
+    """The 200-variable maximal ideal is refused at its degree-2 tests;
+    their 20,100 candidate monomials of 200 exponents each (about 30 MB)
+    must not be built first.  A small tower peaks near 17 MB."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["tower", "--engine", "monomial", "--ideal", MAXIMAL_200, "--vars", MAXIMAL_200, "--levels", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib, err = json.loads(proc.stdout)
+    assert code == 2, err
+    assert f"--levels: the tower would take more than {MONOMIAL_WORK} monomial tests" in err
+    assert peak_kib / 1024 < 30, peak_kib  # ru_maxrss is in KiB on Linux
+
+
 def test_max_order_budget_is_the_oracles():
     """The CLI holds the corpus bound itself, so checking --max-order
     compiles no oracle; it must be the oracle's own guardrail."""

@@ -820,6 +820,28 @@ def test_tables_are_shared_only_within_one_audit(monkeypatch):
     assert oracle._audit.get() is None
 
 
+def test_audit_holds_pool_pair_products_only_while_their_laws_run(monkeypatch):
+    # Count the pushout products of pool pairs in the audit's tables after
+    # every build.  box_assoc, run alone, holds each pool pair it reads;
+    # the whole audit may hold those and the pair the box laws are on.
+    built = oracle._box_tables
+    held = []
+
+    def counting(a, b):
+        value = built(a, b)
+        held.append(sum(key[0] is BoxTables for key in oracle._audit.get()[1]))
+        return value
+
+    monkeypatch.setattr(oracle, "_box_tables", counting)
+    c = FiniteCorpus("z4", 16)
+    check_monoidal_laws(c, laws=("box_assoc",))
+    assoc_pairs = max(held)
+    assert assoc_pairs == 77
+    held.clear()
+    check_monoidal_laws(c)
+    assert 0 < max(held) <= assoc_pairs + 2
+
+
 def test_hom_count_in_an_audit_is_the_shared_list_length(monkeypatch):
     # inside an audit hom_count of two corpus modules reads the shared
     # list; it must still count every map the search finds
