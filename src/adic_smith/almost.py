@@ -62,14 +62,14 @@ class AlmostContext:
         """Image of a depth-d_from element at depth d_to >= d_from."""
         if d_to < d_from:
             raise ValueError("cannot move down the ladder")
-        return self.ring(d_from).stretch(payload, 2 ** (d_to - d_from))
+        return self.ring(d_from).stretch(payload, 1 << (d_to - d_from))
 
     def multiplier(self, e: int, at_depth: int):
         """The image of u_e in V_{at_depth}; needs at_depth >= e."""
         if at_depth < e:
             raise ValueError("multiplier only exists at depths >= e")
         R = self.ring(at_depth)
-        return R.stretch(R.gen, 2 ** (at_depth - e))
+        return R.stretch(R.gen, 1 << (at_depth - e))
 
     def depth_of(self, algebra) -> int:
         """The depth whose ring is the base of ``algebra``.  A ring not
@@ -109,7 +109,7 @@ def module_at_depth(ctx: AlmostContext, M: FPModule, d_from: int, d_to: int) -> 
     if d_to == d_from:
         return M
     alg = _stretch_algebra(ctx, M.algebra, d_from, d_to)
-    s = 2 ** (d_to - d_from)
+    s = 1 << (d_to - d_from)
     R = ctx.ring(d_from)
     return base_change(M, alg, lambda p: R.stretch(p, s))
 
@@ -153,13 +153,23 @@ class DepthVerdict:
 
 
 def almost_zero_to_depth(am: AlmostModule, K: int) -> DepthVerdict:
-    """Is u_e * M = 0, for each depth e <= K?"""
+    """Is u_e * M = 0, for each depth e <= K?
+
+    u_e * M = 0 exactly when u_e * g_i lies in the relation lattice for
+    every generator g_i, so each depth asks ``is_zero_vec`` of those
+    vectors, in the module moved to depth max(e, defining depth), and
+    stops at the first that is not zero.  No map is built.
+    """
     ctx = am.ctx
     entries = {}
     for e in range(K + 1):
         dd = max(e, am.depth)
         Md = am.at_depth(dd)
-        entries[e] = FPMap.scalar(Md, ctx.multiplier(e, dd)).is_zero_map()
+        u = ctx.multiplier(e, dd)
+        zero = [Md.base.zero] * Md.ngens
+        entries[e] = all(
+            Md.is_zero_vec(zero[:i] + [u] + zero[i + 1 :]) for i in range(Md.ngens)
+        )
     return DepthVerdict("almost-zero", entries)
 
 

@@ -219,7 +219,7 @@ class FPModule:
         return out
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FPModule)
             and other.algebra == self.algebra
             and other.ngens == self.ngens
@@ -312,7 +312,7 @@ class FPMap:
         return self.compose(other)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FPMap)
             and other.src == self.src
             and other.dst == self.dst
@@ -551,12 +551,13 @@ class HomModule:
 
 
 def base_change(M: FPModule, new_algebra: Ring, entry_map) -> FPModule:
-    """Push the presentation through a base-ring map, entry by entry."""
-    return FPModule(
-        new_algebra,
-        M.ngens,
-        [[entry_map(x) for x in M.rel.col(j)] for j in range(M.rel.n)],
-    )
+    """Push the presentation through a base-ring map, entry by entry.
+    ``entry_map`` sends canonical payloads to canonical payloads of the
+    new base ring, as the ladder's stretch does, so the pushed relation
+    matrix is taken as it is (see ``linalg``)."""
+    base, _ = algebra_split(new_algebra)
+    rows = [[entry_map(x) for x in r] for r in M.rel.rows]
+    return FPModule(new_algebra, M.ngens, Matrix(base, rows, shape=(M.ngens, M.rel.n)))
 
 
 # -- isomorphism type -------------------------------------------------

@@ -20,6 +20,11 @@ and rows or columns from a caller are length-checked where they enter
 stacks check only that their operands fit.  Every Euclidean ring, Z
 included, goes through the one ring-op kernel ``_snf_generic``; its pivot
 rule is minimal euclidean size, first in row-major order.
+
+``column_hermite`` gives the reduced column Hermite form, which is unique.
+A one-row matrix, the presentation of every ideal and power I^n, gets it
+from a gcd chain along the row; other shapes from a Euclid loop of
+column operations.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ class Matrix:
         return all(x == z for r in self.rows for x in r)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Matrix)
             and other.ring == self.ring
             and other.rows == self.rows
@@ -433,12 +438,30 @@ def column_hermite(A: Matrix):
 
     Pivots are canonical associates; entries left of a pivot are reduced
     mod the pivot. Deterministic: same pivot rule as the SNF sweep.
+
+    A one-row matrix, such as the relations of an ideal, of a power I^n
+    or of a truncation over a one-generator ambient, has the form
+    [canonical gcd of the row], or no column for a zero row.  It is read
+    off a ``Ring.gcd`` chain, with no column operations: the reduced form
+    is unique, so the Euclid loop below would reach the same column, at
+    the price of swelling the other entries on the way (over Q[x] a 1x6
+    row with gcd 1 took minutes).
     """
     ring = A.ring
     if not ring.is_euclidean:
         raise TypeError(f"Hermite form needs a Euclidean ring, got {ring!r}")
     zero, one = ring.zero, ring.one
     m, n = A.m, A.n
+    if m == 1:
+        g = zero
+        for x in A.rows[0]:
+            if x != zero:
+                g = ring.gcd(g, x)
+                if g == one:
+                    break
+        if g == zero:
+            return Matrix(ring, [()], shape=(1, 0)), ()
+        return Matrix(ring, [(g,)], shape=(1, 1)), ((0, 0),)
     H = [list(r) for r in A.rows]
 
     def col_sub(j, t, q):

@@ -14,23 +14,28 @@ Arithmetic is done on raw *payloads* (int, tuple of coefficients, ...),
 not on wrapper objects, so the linear-algebra layer can run tight loops.
 All payloads are kept canonical at all times:
 
-* polynomial coefficient tuples have no trailing zeros; rationals are
-  ``fractions.Fraction`` (lowest terms, positive denominator)
+* polynomial coefficient tuples have no trailing zeros
+* a Q coefficient is an ``int`` when it is integral and a
+  ``fractions.Fraction`` with denominator > 1 otherwise, so each value
+  has one type; ``Fraction(n, 1)`` is never a payload
 * sparse polynomial payloads list their nonzero terms by exponent
 * quotient payloads are reduced mod the canonical associate of the
   modulus (nonnegative for Z, monic for k[x])
 
 ``PolyRing`` arithmetic relies on that contract instead of checking it.
 Coefficients are accumulated with Python's own ``+`` and ``*``, starting
-from ``field.zero`` (so Q[x] payloads keep ``Fraction`` zeros), and each
-output coefficient is reduced once at the end: ``% p`` over F_p, nothing
-over Q.  ``add`` and ``sub`` reduce only the coefficients both operands
-have, and ``mul`` and ``divmod_`` skip zero coefficients, but each still
-costs the degree.  The dyadic ladder lifts t to u^(2^K), so its rings
-are ``SparsePolyRing``, whose operations cost the number of terms.
-Values from outside enter through ``coerce_payload``; the columns of a
-``linalg.Matrix`` are canonical, and ``fpmod.FPModule`` takes them as
-they are.
+from ``field.zero``, and each output coefficient is made canonical once
+at the end: ``% p`` over F_p, and over Q a ``Fraction`` whose
+denominator came out 1 becomes its numerator.  So Q[x] payloads with
+integral coefficients run on Python ints, and meet ``Fraction`` only
+where a value is not integral (a division by a leading coefficient
+other than +-1, say).  ``add`` and ``sub`` reduce mod p only the
+coefficients both operands have, and ``mul`` and ``divmod_`` skip zero
+coefficients, but each still costs the degree.  The dyadic ladder lifts
+t to u^(2^K), so its rings are ``SparsePolyRing``, whose operations cost
+the number of terms.  Values from outside enter through
+``coerce_payload``; the columns of a ``linalg.Matrix`` are canonical,
+and ``fpmod.FPModule`` takes them as they are.
 
 No floating point is used anywhere.
 """
@@ -84,20 +89,32 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class RationalField:
-    """Q, as a coefficient field. Payloads are Fraction."""
+def _rational(c):
+    """The canonical Q payload of the rational c: an int when c is
+    integral, else the Fraction itself."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
-    zero = Fraction(0)
-    one = Fraction(1)
+
+def _rationals(cs) -> list:
+    """``_rational`` of each of cs, in one pass."""
+    return [c if type(c) is int or c.denominator != 1 else c.numerator for c in cs]
+
+
+class RationalField:
+    """Q, as a coefficient field.  Payloads are ints when integral and
+    Fractions with denominator > 1 otherwise (see the module docstring)."""
+
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
         return -a
@@ -105,16 +122,14 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return _rational(Fraction(1, a))
 
     def from_int(self, k: int):
-        return Fraction(k)
+        return k
 
     def coerce(self, c):
-        if isinstance(c, Fraction):
-            return c
-        if isinstance(c, int):
-            return Fraction(c)
+        if isinstance(c, (int, Fraction)):
+            return _rational(c)
         raise ValueError(f"not a rational coefficient: {c!r}")
 
     def is_negative(self, c) -> bool:
@@ -198,30 +213,18 @@ def GF(p: int) -> PrimeField:
 
 
 class Ring:
-    """Common payload-level interface; concrete rings override."""
+    """What every ring shares: powers, and the gcds of a Euclidean ring.
+
+    Each concrete ring supplies its own ``zero``, ``one``, ``add``,
+    ``sub``, ``mul``, ``neg``, ``from_int``, ``coerce_payload``,
+    ``exact_div`` and ``format_elem``; Z and k[x] also ``is_unit`` and
+    ``unit_inverse``.  Nothing here stands in for them.
+    """
 
     is_euclidean = False
     variable: str | None = None
 
     # -- arithmetic ---------------------------------------------------
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def from_int(self, k: int):
-        raise NotImplementedError
-
-    def coerce_payload(self, x):
-        raise NotImplementedError
-
     def is_zero(self, a) -> bool:
         return a == self.zero
 
@@ -277,19 +280,6 @@ class Ring:
         return self.mul(u, r0), self.mul(u, s0), self.mul(u, t0)
 
     # -- misc ---------------------------------------------------------
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    def unit_inverse(self, u):
-        raise NotImplementedError
-
-    def exact_div(self, a, b):
-        """c with b*c = a, or ValueError."""
-        raise NotImplementedError
-
-    def format_elem(self, a) -> str:
-        raise NotImplementedError
-
     def parse(self, text: str):
         from adic_smith import exprparse
 
@@ -402,6 +392,7 @@ class PolyRing(Ring):
         else:
             for i, c in enumerate(b):
                 out[i] += c
+            out = _rationals(out)
         return _strip(out) if len(a) == len(b) else tuple(out)
 
     def sub(self, a, b):
@@ -416,6 +407,7 @@ class PolyRing(Ring):
         else:
             for i, c in enumerate(b[:n]):
                 out[i] -= c
+            out = _rationals(out)
         return _strip(out) if len(b) == n else tuple(out)
 
     def neg(self, a):
@@ -438,7 +430,7 @@ class PolyRing(Ring):
         p = self._p
         if p:
             return tuple([c % p for c in out])
-        return tuple(out)
+        return tuple(_rationals(out))
 
     def from_int(self, k):
         c = self.field.from_int(k)
@@ -450,7 +442,7 @@ class PolyRing(Ring):
             if p:
                 out = [c % p if type(c) is int else f.coerce(c) for c in x]
             else:
-                out = [c if type(c) is Fraction else f.coerce(c) for c in x]
+                out = [c if type(c) is int else f.coerce(c) for c in x]
             return _strip(out)
         if isinstance(x, int):
             return self.from_int(x)
@@ -474,8 +466,7 @@ class PolyRing(Ring):
         q = [self.field.zero] * (len(a) - db)
         for d in range(len(q) - 1, -1, -1):
             c = rem[d + db] * inv
-            if p:
-                c %= p
+            c = c % p if p else _rational(c)
             if c:
                 q[d] = c
                 k = d
@@ -484,8 +475,7 @@ class PolyRing(Ring):
                         rem[k] -= c * cb
                     k += 1
         del rem[db:]
-        if p:
-            rem = [c % p for c in rem]
+        rem = [c % p for c in rem] if p else _rationals(rem)
         return tuple(q), _strip(rem)
 
     def euclid_size(self, a):
@@ -536,7 +526,7 @@ class PolyRing(Ring):
 
     def __eq__(self, other):
         # a sparse ring never equals a dense one: their payloads differ
-        return (
+        return other is self or (
             type(other) is type(self)
             and other.field == self.field
             and other.variable == self.variable
@@ -564,9 +554,12 @@ class SparsePolyRing(PolyRing):
         self.gen = ((1, field.one),)
 
     def _canonical(self, acc: dict) -> tuple:
-        """The payload whose terms are ``acc``'s nonzero ones, reduced mod p."""
+        """The payload whose terms are ``acc``'s nonzero ones, reduced mod p
+        or made canonical rationals."""
         p = self._p
-        return tuple(sorted([(e, r) for e, c in acc.items() if (r := c % p if p else c)]))
+        if p:
+            return tuple(sorted([(e, r) for e, c in acc.items() if (r := c % p)]))
+        return tuple(sorted([(e, _rational(c)) for e, c in acc.items() if c]))
 
     def add(self, a, b):
         if not a or not b:
@@ -637,8 +630,7 @@ class SparsePolyRing(PolyRing):
             if c is None:
                 continue
             c *= inv
-            if p:
-                c %= p
+            c = c % p if p else _rational(c)
             s = e - db
             q.append((s, c))
             for eb, cb in low:
@@ -653,7 +645,7 @@ class SparsePolyRing(PolyRing):
                 else:
                     del rem[k]
         q.reverse()
-        return tuple(q), tuple(sorted(rem.items()))
+        return tuple(q), self._canonical(rem)
 
     def euclid_size(self, a):
         return a[-1][0] if a else 0
@@ -733,7 +725,7 @@ class QuotientRing(Ring):
         return self.base.format_elem(a)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, QuotientRing)
             and other.base == self.base
             and other.modulus == self.modulus

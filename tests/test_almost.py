@@ -8,11 +8,15 @@ verdicts are frozen for the standard witnesses:
   almost-zero profile is true at depth 0 and false below;
 * a module defined at depth d and killed by u_d is almost zero at
   every depth up to d, since shallower multipliers are u_d-powers.
+
+The almost-zero verdicts, decided by generator membership, are checked
+against the map they replaced: ``FPMap.scalar(M, u_e).is_zero_map()``.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adic_smith.rings import GF, PolyRing, SparsePolyRing
+from adic_smith.rings import GF, QQ, PolyRing, QuotientRing, SparsePolyRing
 from adic_smith.fpmod import FPMap, FPModule, submodule
 from adic_smith.linalg import Matrix
 from adic_smith.almost import (
@@ -162,3 +166,34 @@ def test_context_validation():
         AlmostContext(GF(2), -1)
     ctx = AlmostContext(GF(2), 1)
     assert ctx.describe()["max_depth"] == 1
+
+
+def _scalar_map_verdicts(am, K):
+    """Per depth e <= K, whether multiplication by u_e is the zero map."""
+    out = {}
+    for e in range(K + 1):
+        dd = max(e, am.depth)
+        out[e] = FPMap.scalar(am.at_depth(dd), am.ctx.multiplier(e, dd)).is_zero_map()
+    return out
+
+
+@st.composite
+def ladder_modules(draw):
+    """A module over V_d or a quotient of it, d in 0..6, on a depth-6
+    ladder: 1-3 generators, up to 3 relations of up to 3 low terms."""
+    ctx = AlmostContext(draw(st.sampled_from([GF(2), GF(3), QQ])), 6)
+    d = draw(st.integers(0, 6))
+    R = ctx.ring(d)
+    term = st.tuples(st.integers(0, 9), st.sampled_from([1, -1, 2]))
+    elem = st.lists(term, max_size=3).map(lambda ts: R.coerce_payload(tuple(ts)))
+    ngens = draw(st.integers(1, 3))
+    rels = draw(st.lists(st.lists(elem, min_size=ngens, max_size=ngens), max_size=3))
+    modulus = draw(st.one_of(st.none(), elem.filter(bool)))
+    algebra = R if modulus is None else QuotientRing(R, modulus)
+    return AlmostModule(ctx, d, FPModule(algebra, ngens, rels))
+
+
+@given(ladder_modules(), st.integers(0, 6))
+@settings(max_examples=120, deadline=None)
+def test_membership_verdicts_match_scalar_maps(am, K):
+    assert almost_zero_to_depth(am, K).entries == _scalar_map_verdicts(am, K)

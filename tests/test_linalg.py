@@ -5,7 +5,8 @@ U*A*V = D entry by entry, invertibility of U and V from the tracked
 inverses, and the divisibility chain from ring divisions.  Frozen
 integer certificates pin the kernel's exact output, so a change of pivot
 rule or sweep order shows up even when the result is still a valid
-Smith form.
+Smith form.  ``column_hermite`` is checked against ``_euclid_hermite``, a
+copy of its Euclid loop from before one-row matrices took a gcd chain.
 """
 
 import pytest
@@ -24,7 +25,7 @@ from adic_smith.linalg import (
     solve_matrix,
     vstack,
 )
-from adic_smith.rings import GF, IntegerRing, PolyRing
+from adic_smith.rings import GF, QQ, IntegerRing, PolyRing, SparsePolyRing
 
 from conftest import random_int_matrix, random_poly_matrix
 
@@ -154,6 +155,124 @@ def test_column_hermite_preserves_column_span(rng):
             assert ZZ.canonical_unit(p) == 1
             # entries left of a pivot are reduced modulo it
             assert all(0 <= H.rows[r][t] < p for t in range(j))
+
+
+def _euclid_hermite(A):
+    """The reduced column Hermite form by the Euclid loop of column
+    operations that ``column_hermite`` ran on every shape before one-row
+    matrices took a gcd chain."""
+    ring = A.ring
+    zero, one = ring.zero, ring.one
+    m, n = A.m, A.n
+    H = [list(r) for r in A.rows]
+
+    def col_sub(j, t, q):
+        for r in range(m):
+            if H[r][t] != zero:
+                H[r][j] = ring.sub(H[r][j], ring.mul(q, H[r][t]))
+
+    def swap_cols(i, j):
+        for r in range(m):
+            H[r][i], H[r][j] = H[r][j], H[r][i]
+
+    def scale_col(i, j):
+        u = ring.canonical_unit(H[i][j])
+        if u != one:
+            for r in range(m):
+                if H[r][j] != zero:
+                    H[r][j] = ring.mul(u, H[r][j])
+
+    pivots = []
+    c = 0
+    for r0 in range(m):
+        if c >= n:
+            break
+        bj, best = -1, -1
+        for j in range(c, n):
+            if H[r0][j] != zero:
+                s = ring.euclid_size(H[r0][j])
+                if bj < 0 or s < best:
+                    bj, best = j, s
+        if bj < 0:
+            continue
+        if bj != c:
+            swap_cols(bj, c)
+        again = True
+        while again:
+            again = False
+            for j in range(c + 1, n):
+                if H[r0][j] == zero:
+                    continue
+                q, r = ring.divmod_(H[r0][j], H[r0][c])
+                if q != zero:
+                    col_sub(j, c, q)
+                if r != zero:
+                    swap_cols(j, c)
+                    scale_col(r0, c)
+                    again = True
+        scale_col(r0, c)
+        pivots.append((r0, c))
+        c += 1
+    for r0, cc in pivots:
+        for j in range(cc):
+            if H[r0][j] != zero:
+                q, _ = ring.divmod_(H[r0][j], H[r0][cc])
+                if q != zero:
+                    col_sub(j, cc, q)
+    return Matrix(ring, [r[:c] for r in H], shape=(m, c)), tuple(pivots)
+
+
+def _dense(ring, coeff, deg):
+    return st.lists(coeff, max_size=deg + 1).map(lambda cs: ring.coerce_payload(tuple(cs)))
+
+
+def _sparse(ring, coeff, top):
+    terms = st.lists(st.tuples(st.integers(0, top), coeff), max_size=3)
+    return terms.map(lambda ts: ring.coerce_payload(tuple(ts)))
+
+
+# ring -> (entry strategy, large-entry strategy, widest large row).  Q[x]
+# rows stay narrow and low: the Euclid loop swells their coefficients
+# (a 1x6 row with gcd 1 ran for minutes), and it is the reference here.
+_F3X, _QX, _LADDER = PolyRing(GF(3), "x"), PolyRing(QQ, "x"), SparsePolyRing(GF(2), "u3")
+_Q_COEFF = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+HERMITE_RINGS = {
+    "Z": (ZZ, st.integers(-20, 20), st.integers(-(10**30), 10**30), 12),
+    "F2x": (F2X, _dense(F2X, st.integers(0, 1), 3), _dense(F2X, st.integers(0, 1), 12), 12),
+    "F3x": (_F3X, _dense(_F3X, st.integers(0, 2), 3), _dense(_F3X, st.integers(0, 2), 8), 10),
+    "Qx": (_QX, _dense(_QX, _Q_COEFF, 2), _dense(_QX, st.integers(-(10**6), 10**6), 2), 4),
+    "ladder": (_LADDER, _sparse(_LADDER, st.just(1), 8), _sparse(_LADDER, st.just(1), 64), 12),
+}
+
+
+@st.composite
+def hermite_cases(draw, name):
+    """A matrix over the named ring: a zero row, a row with one nonzero
+    entry, a row holding a unit, a wide row of large entries, or 2-3 rows."""
+    ring, entry, large, widest = HERMITE_RINGS[name]
+    shape = draw(st.sampled_from(["zero", "one-entry", "unit", "wide", "rows"]))
+    if shape == "rows":
+        m, n = draw(st.integers(2, 3)), draw(st.integers(0, 4))
+        return Matrix(ring, [[draw(entry) for _ in range(n)] for _ in range(m)], shape=(m, n))
+    if shape == "wide":
+        row = draw(st.lists(large, min_size=1, max_size=widest))
+    else:
+        row = [ring.zero] * draw(st.integers(0 if shape == "zero" else 1, 6))
+        if shape == "one-entry":
+            row[draw(st.integers(0, len(row) - 1))] = draw(large.filter(lambda x: x != ring.zero))
+        elif shape == "unit":
+            row = [draw(entry) for _ in row]
+            unit = ring.neg(ring.one) if draw(st.booleans()) else ring.one
+            row[draw(st.integers(0, len(row) - 1))] = unit
+    return Matrix(ring, [row], shape=(1, len(row)))
+
+
+@pytest.mark.parametrize("name", HERMITE_RINGS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_column_hermite_matches_euclid_loop(name, data):
+    A = data.draw(hermite_cases(name), "A")
+    assert column_hermite(A) == _euclid_hermite(A)
 
 
 def test_stacking_and_blocks():

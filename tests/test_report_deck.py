@@ -20,9 +20,12 @@ and Q[x] ideals with non-integer coefficients) were captured while
 every generator product was still multiplied out from 1, before
 products were carried up from one degree to the next.  They live in a
 document of their own so that the name lists of the error runs above
-stay as frozen.  The last run, the almost ladder at depth 14 with
+stay as frozen.  The run after them, the almost ladder at depth 14 with
 its witness (t = u_14^16384), was captured while ladder payloads were
-still dense coefficient tuples, before they became term lists.
+still dense coefficient tuples, before they became term lists.  After it,
+``graded`` on the integral Q[x] ideal (x + 3) to level 10 was captured
+while every Q coefficient was a ``Fraction``, before integral ones
+became ints and one-row Hermite forms a gcd chain.
 """
 
 import contextlib
@@ -82,6 +85,7 @@ LONG_DOC = {
         "fxx": {"ring": "F2x", "generators": ["x"]},
         "qlin": {"ring": "Qx", "generators": ["1/2*x + 1/3"]},
         "qfr": {"ring": "Qx", "generators": ["2/3*x^2 - 1/2", "x^3 + 5/7*x"]},
+        "qint": {"ring": "Qx", "generators": ["x + 3"]},
     },
 }
 
@@ -178,6 +182,8 @@ DECK = [
                             "--with-certificates"]),
     ("graded-qfr-3", ["graded", "--input", "@2", "--ideal", "qfr", "--levels", "3"]),
     ("almost-depth14-witness", ["almost", "--depth", "14", "--levels", "3", "--witness"]),
+    ("graded-qint-10-cert", ["graded", "--input", "@2", "--ideal", "qint", "--levels", "10",
+                             "--with-certificates"]),
 ]
 
 # id -> (exit code, md5 of stdout + stderr)
@@ -260,6 +266,7 @@ FROZEN = {
     'tower-qlin-12-cert': (0, '3ec33823f46ad95886d1472b30151fba'),
     'graded-qfr-3': (0, 'ccb672a9effd0859e9172f961849ebdc'),
     'almost-depth14-witness': (1, '91ea02578e60b937989b18f8f937b6b8'),
+    'graded-qint-10-cert': (0, 'f63fdb906ffaf6f2d47e4b758dc88f2b'),
 }
 
 

@@ -151,8 +151,9 @@ NATIVE_FIELDS = {"F2": GF(2), "F3": GF(3), "F5": GF(5), "Q": QQ}
 
 
 def _coefficient(field, rnd):
+    """A canonical coefficient: over Q an int when integral."""
     if field == QQ:
-        return Fraction(rnd.randint(-9, 9), rnd.randint(1, 4))
+        return QQ.coerce(Fraction(rnd.randint(-9, 9), rnd.randint(1, 4)))
     return rnd.randrange(field.p)
 
 
@@ -182,9 +183,15 @@ def _schoolbook_steps(a, b):
     return steps
 
 
+def _q_canonical(c) -> bool:
+    """The one type of a Q coefficient: an int when integral, else a
+    Fraction with denominator > 1; never ``Fraction(n, 1)``, never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def _canonical(field, a):
     if field == QQ:
-        typed = all(type(c) is Fraction for c in a)
+        typed = all(_q_canonical(c) for c in a)
     else:
         typed = all(type(c) is int and 0 <= c < field.p for c in a)
     return typed and isinstance(a, tuple) and (not a or a[-1] != field.zero)
@@ -220,6 +227,81 @@ def test_native_poly_ops_match_schoolbook(name, data):
         raw += (Fraction(1, 3), 0)
     assert ring.coerce_payload(raw) == ref.coerce(raw)
     assert _canonical(field, ring.coerce_payload(raw))
+
+
+class FractionQ:
+    """Q with every value a ``Fraction``, as Q payloads were before
+    integral coefficients became ints."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        return 1 / a
+
+    def coerce(self, c):
+        return Fraction(c)
+
+
+def _fraction_xgcd(ref, a, b):
+    """Ring.xgcd's answer, computed on the Fraction-only reference."""
+    one = (Fraction(1),)
+    r0, r1, s0, s1, t0, t1 = a, b, one, (), (), one
+    while r1:
+        q, r = ref.divmod_(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, ref.sub(s0, ref.mul(q, s1))
+        t0, t1 = t1, ref.sub(t0, ref.mul(q, t1))
+    u = (1 / r0[-1],) if r0 else one
+    return ref.mul(u, r0), ref.mul(u, s0), ref.mul(u, t0)
+
+
+_q_value = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@given(st.lists(_q_value, max_size=8), st.lists(_q_value, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_q_payloads_match_fraction_reference(xs, ys):
+    """Q[x] arithmetic gives the values of Fraction-only arithmetic, each
+    coefficient of its one canonical type, never a float."""
+    ref = Schoolbook(FractionQ())
+    a, b = QX.coerce_payload(tuple(xs)), QX.coerce_payload(tuple(ys))
+    fa, fb = ref.coerce(xs), ref.coerce(ys)
+    assert a == fa and b == fb
+    results = [
+        (QX.add(a, b), ref.add(fa, fb)),
+        (QX.sub(a, b), ref.sub(fa, fb)),
+        (QX.mul(a, b), ref.mul(fa, fb)),
+        (QX.neg(a), ref.neg(fa)),
+        (a, fa),
+    ]
+    results += zip(QX.xgcd(a, b), _fraction_xgcd(ref, fa, fb))
+    for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
+        if y:
+            results += zip(QX.divmod_(x, y), ref.divmod_(fx, fy))
+    for got, want in results:
+        assert got == want
+        assert _canonical(QQ, got)
+
+
+def test_q_inverse_is_exact():
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    assert QX.canonical_unit((0, 2)) == (Fraction(1, 2),)
 
 
 @given(coeff_lists, coeff_lists.filter(lambda c: any(x % 2 for x in c)))
@@ -456,15 +538,22 @@ def _dense(field, a):
 
 def _sparse_canonical(field, a):
     """Exponents strictly increasing, no zero coefficients, and
-    coefficients reduced: in [1, p) over F_p, Fractions over Q."""
+    coefficients reduced: in [1, p) over F_p, over Q of their one
+    canonical type (``_q_canonical``)."""
     exps = [e for e, _ in a]
     if not (isinstance(a, tuple) and all(type(t) is tuple and len(t) == 2 for t in a)):
         return False
     if not all(type(e) is int and e >= 0 for e in exps) or any(x >= y for x, y in zip(exps, exps[1:])):
         return False
     if field == QQ:
-        return all(type(c) is Fraction and c != 0 for _, c in a)
+        return all(_q_canonical(c) and c != 0 for _, c in a)
     return all(type(c) is int and 0 < c < field.p for _, c in a)
+
+
+def test_payload_helpers_pin_the_q_contract():
+    assert _canonical(QQ, (3, Fraction(1, 2))) and _sparse_canonical(QQ, ((0, 3), (2, Fraction(1, 2))))
+    for bad in (Fraction(3, 1), 0.5, 3.0):
+        assert not _canonical(QQ, (bad,)) and not _sparse_canonical(QQ, ((0, bad),))
 
 
 def _terms(field):
