@@ -135,11 +135,14 @@ class FPModule:
         if len(v) != self.ngens:
             raise ValueError(f"length {len(v)} vector in {self.ngens}-generator module")
         H = self.rel.rows
+        zero = base.zero
         for i, j in self._pivots:
+            if v[i] == zero:
+                continue
             q, r = base.divmod_(v[i], H[i][j])
-            if q != base.zero:
+            if q != zero:
                 for s in range(i + 1, self.ngens):
-                    if H[s][j] != base.zero:
+                    if H[s][j] != zero:
                         v[s] = base.sub(v[s], base.mul(q, H[s][j]))
                 v[i] = r
         return tuple(v)

@@ -374,8 +374,8 @@ class PolyRing(Ring):
             raise ValueError(f"bad variable name: {var!r}")
         self.field = field
         self.variable = var
-        # the modulus coefficient sums are reduced by; 0 over Q, where
-        # Fraction arithmetic is already exact and canonical
+        # the modulus coefficient sums are reduced by; 0 over Q, whose
+        # sums are made canonical by ``_rationals`` instead
         self._p = field.p if isinstance(field, PrimeField) else 0
         self.zero = ()
         self.one = (field.one,)
@@ -619,6 +619,16 @@ class SparsePolyRing(PolyRing):
         p = self._p
         inv = self.field.inv(lead)
         low = b[:-1]
+        if not low:
+            # a one-term divisor splits a's terms at its degree
+            k = 0
+            while a[k][0] < db:
+                k += 1
+            if p:
+                q = [(e - db, c * inv % p) for e, c in a[k:]]
+            else:
+                q = [(e - db, _rational(c * inv)) for e, c in a[k:]]
+            return tuple(q), a[:k]
         rem = dict(a)
         # the remainder's exponents >= db, ascending; an exponent whose
         # term cancelled is skipped when it comes off the end
