@@ -25,8 +25,8 @@ from adic_smith.tower import SmithIdeal, identity_on_generators, tower_levels
 # Depth K lifts t to u_K^(2^K), one term of a ladder payload, so a run
 # costs about its K + 1 depths times its levels, not 2^K.  Measured at
 # --levels 3 on a 2-core machine with Python 3.11: depth 14000 takes
-# 11-18 s and 84 MB, 171 MB with --with-certificates (16-18 s and 183 MB
-# at --levels 4).  The certificates print the exponent 2^K, and Python
+# 2.4-2.7 s and 83 MB, 3.4-3.8 s and 172 MB with --witness
+# --with-certificates (4.8 s and 182 MB at --levels 4).  The certificates print the exponent 2^K, and Python
 # by default refuses to convert an int of more than 4,300 digits to text,
 # which K = 14285 would need; the budget stays below that.  Deeper
 # requests are refused before anything is built.

@@ -180,13 +180,17 @@ def _scalar_map_verdicts(am, K):
 @st.composite
 def ladder_modules(draw):
     """A module over V_d or a quotient of it, d in 0..6, on a depth-6
-    ladder: 1-3 generators, up to 3 relations of up to 3 low terms."""
-    ctx = AlmostContext(draw(st.sampled_from([GF(2), GF(3), QQ])), 6)
+    ladder: 1-3 generators, up to 3 relations of up to 3 low terms.
+    Over Q it has at most 2 generators and exponents up to 5: the
+    multi-row Hermite loop swells a 3-generator Q presentation with a
+    modulus for minutes (ROADMAP item 1), and it is not under test here."""
+    field = draw(st.sampled_from([GF(2), GF(3), QQ]))
+    ctx = AlmostContext(field, 6)
     d = draw(st.integers(0, 6))
     R = ctx.ring(d)
-    term = st.tuples(st.integers(0, 9), st.sampled_from([1, -1, 2]))
+    term = st.tuples(st.integers(0, 5 if field == QQ else 9), st.sampled_from([1, -1, 2]))
     elem = st.lists(term, max_size=3).map(lambda ts: R.coerce_payload(tuple(ts)))
-    ngens = draw(st.integers(1, 3))
+    ngens = draw(st.integers(1, 2 if field == QQ else 3))
     rels = draw(st.lists(st.lists(elem, min_size=ngens, max_size=ngens), max_size=3))
     modulus = draw(st.one_of(st.none(), elem.filter(bool)))
     algebra = R if modulus is None else QuotientRing(R, modulus)
